@@ -6,10 +6,10 @@
 // (same_simulation), so the baseline doubles as a determinism gate. Exit
 // code 0 iff every stage was all-correct and the cross-check held.
 //
-// Input bits shrink as the session count grows (64 → 16 → 4): the point of
-// the large stages is scheduler/arena overhead per *event* at scale, not
-// per-session protocol work, and this keeps the full sweep tractable on one
-// core. --quick runs a single 2k-session stage for the CTest entry.
+// Input bits shrink as the session count grows (64 → 16 → 4), which keeps
+// the full sweep tractable on one core. The large stages therefore weigh
+// per-session setup (protocol, schedulers, channel, simulator) more heavily
+// than per-event work. --quick runs a single 2k-session stage for the CTest entry.
 //
 //   bench_megasession [--json PATH] [--quick] [--threads N]
 #include <cstdint>

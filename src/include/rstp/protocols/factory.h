@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "rstp/protocols/base.h"
@@ -21,6 +22,8 @@ enum class ProtocolKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ProtocolKind kind);
+/// Inverse of to_string; nullopt for a name no kind carries.
+[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name);
 std::ostream& operator<<(std::ostream& os, ProtocolKind kind);
 
 /// True for the protocols in which the receiver sends no packets (P^rt = ∅).

@@ -6,8 +6,9 @@
 // protocol × (c1, c2, d) × k × environment × seed. A Campaign materializes
 // that grid as a job list and executes it with work-stealing workers:
 //
-//   * Jobs are numbered in grid order; an atomic cursor hands the next index
-//     to whichever worker is free (no static partitioning, so a few slow
+//   * Jobs are numbered in grid order; the atomic cursor of
+//     parallel_for_slots (sim/search_support.h) hands the next index to
+//     whichever worker is free (no static partitioning, so a few slow
 //     cells — large k, adversarial delivery — cannot strand a thread).
 //   * Each job derives its RNG seeds by SplitMix64-mixing the campaign seed
 //     with the job index, so job i's randomness is a fixed function of the

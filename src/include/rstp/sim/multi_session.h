@@ -1,39 +1,26 @@
-// The million-session multiplexed engine: N independent (transmitter,
-// channel, receiver) sessions interleaved on one simulated clock.
+// The million-session engine: N independent (transmitter, channel,
+// receiver) sessions of one protocol/timing/environment cell, folded into
+// one result.
 //
-// Where a Campaign parallelizes at job level (one complete session per grid
-// cell, run to completion before the worker takes the next), MultiSession
-// hosts many concurrent sessions inside one event loop — the regime the
-// ROADMAP's "millions of users" north star actually needs, and the aggregate
-// many-flows view the timing-channel capacity literature frames throughput
-// in. The architecture:
+// Where a Campaign runs a grid of different cells, MultiSession runs many
+// copies of one cell — the aggregate many-flows view the timing-channel
+// capacity literature frames throughput in. The architecture:
 //
-//   * Sessions are split into a fixed number of shards (spec.shards,
-//     independent of the worker count). Each shard owns a contiguous session
-//     range and runs ONE event loop over all of them: a cross-session
-//     time-ordered binary heap keyed by (next dispatch instant, session id)
-//     pops the earliest session, advances it exactly one dispatch (a whole
-//     due delivery batch, or one process step — Simulator::advance), and
-//     pushes it back with its new instant. Within a session the single-
-//     session tie rule (deliveries, then transmitter, then receiver) is
-//     untouched; across sessions the session id breaks instant ties.
-//   * Arena layout: each shard materializes its sessions once, into one
-//     exactly-reserved contiguous slot vector, before its loop starts. The
-//     per-step path allocates nothing — packets live in each session
-//     channel's reusable heap + scratch buffers, and the heap entries are
-//     16-byte PODs in a pre-reserved vector.
-//   * Sessions are independent by construction (no cross-session actions),
-//     so each session's execution — driven through the same incremental
-//     Simulator API run() itself uses — is bitwise identical to a standalone
-//     core::run_protocol call with the same derived seeds. Per-session seeds
+//   * Sessions never share an action, so N sessions are N independent
+//     executions. Session i is a plain core::run_protocol call whose seeds
 //     come from the campaign's derivation (derive_unit_seeds over
-//     base_seed + session id), making session i a pure function of the spec.
-//   * Folds reuse the MetricsRegistry shard pattern: each worker folds its
-//     shard's finished sessions in session order into a per-shard slot, and
-//     the shard folds merge serially in shard order after the join. The
-//     result is therefore bitwise identical across 1/3/8 threads and
-//     invariant to the shard count (shards partition the session order into
-//     contiguous runs, so the merged fold is always the session-order fold).
+//     base_seed + i), making it a pure function of the spec and equal to a
+//     standalone run with the same derived seeds (megasession_test).
+//   * Sessions are split into a fixed number of shards (spec.shards,
+//     independent of the worker count), each a contiguous session range.
+//     Workers claim shards from parallel_for_slots and run a shard's
+//     sessions one after another, so one session is live per worker.
+//   * Each shard folds its sessions in session order into its own slot;
+//     the shard folds merge serially in shard order after the join. Effort
+//     is folded in integer ticks, so the result is bitwise identical across
+//     1/3/8 threads and invariant to the shard count (shards partition the
+//     session order into contiguous runs, so the merged fold is always the
+//     session-order fold).
 //
 // events_per_sec / elapsed_seconds are the only wall-clock quantities and
 // are excluded from every determinism comparison.

@@ -10,10 +10,11 @@
 //     times and sequence numbers (every case would be all-new coverage) and
 //     includes the action shape, the protocol automata's own counters, and
 //     the output length — state the paper's proofs quantify over.
-//   * parallel_for_slots: the campaign engine's work-stealing shape, local to
-//     one generation. Workers claim indices from an atomic cursor and write
-//     disjoint slots; the caller folds serially afterwards, so results are
-//     independent of the worker count. The first worker exception is
+//   * parallel_for_slots: the library's one worker pool. Campaign jobs,
+//     MultiSession shards and every search generation run on it. Workers
+//     claim indices from an atomic cursor and write disjoint slots; the
+//     caller folds serially afterwards, so results are independent of the
+//     worker count. The first slot exception stops further claims and is
 //     rethrown on the caller's thread.
 #pragma once
 
@@ -47,7 +48,8 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 [[nodiscard]] std::uint64_t hash_sorted(const std::vector<std::uint64_t>& values);
 
 /// Runs fn(0..n-1) across up to `jobs` worker threads (0 = hardware
-/// concurrency). fn must write only to its own slot `i`.
+/// concurrency); with one worker, fn runs inline on the caller's thread.
+/// fn must write only to its own slot `i`.
 void parallel_for_slots(std::size_t n, unsigned jobs,
                         const std::function<void(std::size_t)>& fn);
 

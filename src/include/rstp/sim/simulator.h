@@ -109,14 +109,12 @@ class Simulator {
   [[nodiscard]] RunResult run();
 
   // --- Incremental driving ---------------------------------------------------
-  // The multiplexed engine (sim/multi_session.h) interleaves many sessions on
-  // one clock by popping the session with the earliest next_instant() from a
-  // cross-session heap and advancing it one dispatch. The sequence
+  // run() is implemented on top of these, and the perfbench traced pass
+  // (perfbench/src/traced.cpp) drives them directly. The sequence
   //   start(); while (next_instant()) advance(); take_result()
-  // is exactly run() — run() itself is implemented on top of these — so a
-  // session driven incrementally produces a bitwise-identical RunResult no
-  // matter how its dispatches interleave with other sessions'. The two APIs
-  // are mutually exclusive on one instance.
+  // is exactly run(), so a session driven incrementally produces a
+  // bitwise-identical RunResult. The two APIs are mutually exclusive on one
+  // instance.
 
   /// Validates and arms the run: configures the metric histograms and draws
   /// both processes' first step offsets. May be called once.

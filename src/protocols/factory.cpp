@@ -34,6 +34,13 @@ std::string_view to_string(ProtocolKind kind) {
   return "?";
 }
 
+std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
+  for (const ProtocolKind kind : kAllProtocolKinds) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 std::ostream& operator<<(std::ostream& os, ProtocolKind kind) { return os << to_string(kind); }
 
 bool is_r_passive(ProtocolKind kind) {

@@ -12,6 +12,8 @@
 #include "rstp/sim/search_support.h"
 #include "rstp/sim/simulator.h"
 
+#include "artifact_reader.h"
+
 namespace rstp::sim {
 
 namespace {
@@ -147,13 +149,6 @@ constexpr std::uint64_t kGenerationSize = 16;
   h = fnv_mix(h, g.r_gaps.size());
   for (const Duration d : g.r_gaps) h = fnv_mix(h, static_cast<std::uint64_t>(d.ticks()));
   return h;
-}
-
-[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
-  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
 }
 
 /// Deterministic shrink of the winning genome: each simplification is kept
@@ -467,30 +462,6 @@ namespace {
 
 constexpr std::string_view kAdversaryHeader = "rstp-adversary-v1";
 
-[[noreturn]] void malformed(std::string_view what, std::string_view line) {
-  std::ostringstream os;
-  os << "malformed adversary file: " << what;
-  if (!line.empty()) os << " in line '" << line << "'";
-  throw ModelError(os.str());
-}
-
-template <typename T>
-[[nodiscard]] T read_value(std::istringstream& is, std::string_view line) {
-  T value{};
-  if (!(is >> value)) malformed("missing or bad value", line);
-  return value;
-}
-
-[[nodiscard]] std::string clean_line(const std::string& raw) {
-  std::string line = raw;
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return {};
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
-
 void write_duration_table(std::ostream& os, std::string_view key,
                           const std::vector<Duration>& table) {
   os << key << ' ' << table.size();
@@ -498,15 +469,16 @@ void write_duration_table(std::ostream& os, std::string_view key,
   os << '\n';
 }
 
-[[nodiscard]] std::vector<Duration> read_duration_table(std::istringstream& is,
-                                                        std::string_view line) {
-  const auto count = read_value<std::size_t>(is, line);
-  if (count == 0 || count > 4096) malformed("table size out of range", line);
-  std::vector<Duration> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(Duration{read_value<std::int64_t>(is, line)});
-  }
+/// Reads a table's leading size, which must lie in [1, 4096].
+[[nodiscard]] std::size_t read_table_size(detail::ArtifactReader& in) {
+  const auto count = in.read<std::size_t>();
+  if (count == 0 || count > 4096) in.malformed("table size out of range");
+  return count;
+}
+
+[[nodiscard]] std::vector<Duration> read_duration_table(detail::ArtifactReader& in) {
+  std::vector<Duration> out(read_table_size(in));
+  for (Duration& d : out) d = Duration{in.read<std::int64_t>()};
   return out;
 }
 
@@ -555,80 +527,61 @@ void write_adversary_repro(std::ostream& os, const AdversaryRepro& repro) {
 }
 
 AdversaryRepro parse_adversary_repro(std::istream& is) {
-  std::string raw;
-  bool saw_header = false;
+  detail::ArtifactReader in{is, "adversary"};
+  in.expect_header(kAdversaryHeader);
   AdversaryRepro repro;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kAdversaryHeader) malformed("expected header", line);
-      saw_header = true;
-      continue;
-    }
-    if (line == "end") {
+  while (in.next_line()) {
+    if (in.line() == "end") {
       // The genome must be legal for the declared params — an artifact that
       // smuggles an out-of-model schedule is rejected here, not at run time.
       channel::validate_genome(repro.genome, repro.cell.params);
       return repro;
     }
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
+    const std::string& key = in.key();
     if (key == "protocol") {
-      std::string name;
-      if (!(tokens >> name)) malformed("missing protocol name", line);
-      const auto kind = protocol_from_string(name);
-      if (!kind.has_value()) malformed("unknown protocol", line);
-      repro.cell.protocol = *kind;
+      repro.cell.protocol = in.read_protocol();
     } else if (key == "params") {
-      const auto c1 = read_value<std::int64_t>(tokens, line);
-      const auto c2 = read_value<std::int64_t>(tokens, line);
-      const auto d = read_value<std::int64_t>(tokens, line);
-      if (c1 < 1 || c2 < c1 || d < c2) malformed("params must satisfy 0 < c1 <= c2 <= d", line);
-      repro.cell.params = core::TimingParams::make(c1, c2, d);
+      repro.cell.params = in.read_params();
     } else if (key == "k") {
-      repro.cell.k = read_value<std::uint32_t>(tokens, line);
+      repro.cell.k = in.read<std::uint32_t>();
     } else if (key == "input_bits") {
-      repro.cell.input_bits = read_value<std::uint32_t>(tokens, line);
-      if (repro.cell.input_bits == 0) malformed("input_bits must be positive", line);
+      repro.cell.input_bits = in.read<std::uint32_t>();
+      if (repro.cell.input_bits == 0) in.malformed("input_bits must be positive");
     } else if (key == "input_seed") {
-      repro.input_seed = read_value<std::uint64_t>(tokens, line);
+      repro.input_seed = in.read<std::uint64_t>();
     } else if (key == "max_events") {
-      repro.max_events = read_value<std::uint64_t>(tokens, line);
-      if (repro.max_events == 0) malformed("max_events must be positive", line);
+      repro.max_events = in.read<std::uint64_t>();
+      if (repro.max_events == 0) in.malformed("max_events must be positive");
     } else if (key == "t_first") {
-      repro.genome.t_first = Duration{read_value<std::int64_t>(tokens, line)};
+      repro.genome.t_first = Duration{in.read<std::int64_t>()};
     } else if (key == "r_first") {
-      repro.genome.r_first = Duration{read_value<std::int64_t>(tokens, line)};
+      repro.genome.r_first = Duration{in.read<std::int64_t>()};
     } else if (key == "t_gaps") {
-      repro.genome.t_gaps = read_duration_table(tokens, line);
+      repro.genome.t_gaps = read_duration_table(in);
     } else if (key == "r_gaps") {
-      repro.genome.r_gaps = read_duration_table(tokens, line);
+      repro.genome.r_gaps = read_duration_table(in);
     } else if (key == "delays") {
-      repro.genome.delays = read_duration_table(tokens, line);
+      repro.genome.delays = read_duration_table(in);
     } else if (key == "order_keys") {
-      const auto count = read_value<std::size_t>(tokens, line);
-      if (count == 0 || count > 4096) malformed("table size out of range", line);
-      repro.genome.order_keys.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        repro.genome.order_keys.push_back(read_value<std::uint64_t>(tokens, line));
+      repro.genome.order_keys.assign(read_table_size(in), 0);
+      for (std::uint64_t& order_key : repro.genome.order_keys) {
+        order_key = in.read<std::uint64_t>();
       }
     } else if (key == "expect_last_send") {
-      repro.expect_last_send = read_value<std::int64_t>(tokens, line);
+      repro.expect_last_send = in.read<std::int64_t>();
     } else if (key == "expect_output_hash") {
-      repro.expect_output_hash = read_value<std::uint64_t>(tokens, line);
+      repro.expect_output_hash = in.read<std::uint64_t>();
     } else if (key == "expect_events") {
-      repro.expect_events = read_value<std::uint64_t>(tokens, line);
+      repro.expect_events = in.read<std::uint64_t>();
     } else if (key == "expect_correct") {
-      repro.expect_correct = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.expect_correct = in.read<std::uint32_t>() != 0;
     } else if (key == "expect_quiescent") {
-      repro.expect_quiescent = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.expect_quiescent = in.read<std::uint32_t>() != 0;
     } else {
-      malformed("unknown key", line);
+      in.malformed("unknown key");
     }
   }
-  malformed(saw_header ? "missing 'end'" : "empty document", "");
+  in.malformed("missing 'end'");
 }
 
 AdversaryReplayOutcome replay_adversary_repro(const AdversaryRepro& repro) {

@@ -13,6 +13,7 @@
 #include "rstp/common/rng.h"
 #include "rstp/est/runner.h"
 #include "rstp/obs/metrics.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 
@@ -174,11 +175,6 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
                   "campaign progress interval must be positive");
   }
   const std::size_t jobs = job_count();
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, std::max<std::size_t>(1, jobs)));
 
   CampaignResult result;
   result.jobs.resize(jobs);
@@ -229,41 +225,6 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
         delay_buckets[bucket].fetch_add(n, std::memory_order_relaxed);
       }
       delay_count.fetch_add(h.count(), std::memory_order_relaxed);
-    }
-  };
-
-  // Work stealing over the job list: each worker atomically claims the next
-  // unclaimed index and writes only its own slot, so the merged vector is in
-  // grid order no matter how the OS schedules the threads.
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> died{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&]() {
-    try {
-      while (!died.load(std::memory_order_relaxed)) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs) break;
-        CampaignJobResult& slot = result.jobs[i];
-        slot = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
-        events_done.fetch_add(slot.event_count, std::memory_order_relaxed);
-        if (slot.effort > 0) {
-          live_effort_sum.fetch_add(slot.effort, std::memory_order_relaxed);
-          effort_jobs_done.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (snapshots) fold_snapshot_state(i, slot);
-        done.fetch_add(1, std::memory_order_relaxed);
-        obs::global_registry().add(registry_ids.jobs);
-        obs::global_registry().add(registry_ids.events, slot.event_count);
-        obs::global_registry().gauge_max(registry_ids.max_events, slot.event_count);
-      }
-    } catch (...) {
-      // run_campaign_job already folds model errors into the job row; this
-      // catches infrastructure failures (bad_alloc, spec bugs) — stop the
-      // pool and surface the first one after the join.
-      const std::scoped_lock lock{error_mutex};
-      if (!first_error) first_error = std::current_exception();
-      died.store(true, std::memory_order_relaxed);
     }
   };
 
@@ -336,15 +297,29 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
     });
   }
 
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) t.join();
+  // Each slot writes only its own row, so the job vector is in grid order no
+  // matter how the OS schedules the workers. run_campaign_job already folds
+  // model errors into the row; an exception here is an infrastructure failure
+  // (bad_alloc, a spec bug), held until the monitor is joined and has emitted
+  // its final report.
+  std::exception_ptr error;
+  try {
+    parallel_for_slots(jobs, threads, [&](std::size_t i) {
+      CampaignJobResult& slot = result.jobs[i];
+      slot = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
+      events_done.fetch_add(slot.event_count, std::memory_order_relaxed);
+      if (slot.effort > 0) {
+        live_effort_sum.fetch_add(slot.effort, std::memory_order_relaxed);
+        effort_jobs_done.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (snapshots) fold_snapshot_state(i, slot);
+      done.fetch_add(1, std::memory_order_relaxed);
+      obs::global_registry().add(registry_ids.jobs);
+      obs::global_registry().add(registry_ids.events, slot.event_count);
+      obs::global_registry().gauge_max(registry_ids.max_events, slot.event_count);
+    });
+  } catch (...) {
+    error = std::current_exception();
   }
   if (monitor.joinable()) {
     {
@@ -358,7 +333,7 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
     if (progress.out != nullptr) print_progress(*progress.out);
     if (snapshots) progress.on_snapshot(build_snapshot(/*final_snapshot=*/true));
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 
   // Serial reduction in grid order: aggregates are a pure fold over the job
   // vector, so they too are bitwise reproducible across thread counts.

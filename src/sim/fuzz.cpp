@@ -1,14 +1,10 @@
 #include "rstp/sim/fuzz.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "rstp/channel/policies.h"
@@ -18,22 +14,17 @@
 #include "rstp/sim/search_support.h"
 #include "rstp/sim/simulator.h"
 
+#include "artifact_reader.h"
+
 namespace rstp::sim {
 
 namespace {
 
 using protocols::ProtocolKind;
 
-// Fingerprinting (event_fingerprint/hash_bits/hash_sorted) and the
-// generation-local work-stealing loop (parallel_for_slots) are shared with
-// the adversary synthesizer — see rstp/sim/search_support.h.
-
-[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
-  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
+// Fingerprinting (event_fingerprint/hash_bits/hash_sorted) is shared with
+// the adversary synthesizer, and the worker pool (parallel_for_slots) with
+// every engine — see rstp/sim/search_support.h.
 
 [[nodiscard]] std::string kind_name(core::ViolationKind kind) {
   std::ostringstream os;
@@ -480,108 +471,62 @@ void write_case_fields(std::ostream& os, const FuzzCase& c) {
   }
 }
 
-[[noreturn]] void malformed(std::string_view what, std::string_view line) {
-  std::ostringstream os;
-  os << "malformed fuzz file: " << what;
-  if (!line.empty()) os << " in line '" << line << "'";
-  throw ModelError(os.str());
-}
-
-template <typename T>
-[[nodiscard]] T read_value(std::istringstream& is, std::string_view line) {
-  T value{};
-  if (!(is >> value)) malformed("missing or bad value", line);
-  return value;
-}
-
-/// Applies one `key values...` line to `c`; false if the key is unknown.
-[[nodiscard]] bool apply_case_field(FuzzCase& c, const std::string& key,
-                                    std::istringstream& is, const std::string& line) {
+/// Applies the current `key values...` line to `c`; false if the key is
+/// unknown.
+[[nodiscard]] bool apply_case_field(FuzzCase& c, detail::ArtifactReader& in) {
+  const std::string& key = in.key();
   if (key == "protocol") {
-    std::string name;
-    if (!(is >> name)) malformed("missing protocol name", line);
-    const auto kind = protocol_from_string(name);
-    if (!kind.has_value()) malformed("unknown protocol", line);
-    c.protocol = *kind;
+    c.protocol = in.read_protocol();
   } else if (key == "params") {
-    const auto c1 = read_value<std::int64_t>(is, line);
-    const auto c2 = read_value<std::int64_t>(is, line);
-    const auto d = read_value<std::int64_t>(is, line);
-    if (c1 < 1 || c2 < c1 || d < c2) malformed("params must satisfy 0 < c1 <= c2 <= d", line);
-    c.params = core::TimingParams::make(c1, c2, d);
+    c.params = in.read_params();
   } else if (key == "k") {
-    c.k = read_value<std::uint32_t>(is, line);
+    c.k = in.read<std::uint32_t>();
   } else if (key == "input_bits") {
-    c.input_bits = read_value<std::uint32_t>(is, line);
+    c.input_bits = in.read<std::uint32_t>();
   } else if (key == "input_seed") {
-    c.input_seed = read_value<std::uint64_t>(is, line);
+    c.input_seed = in.read<std::uint64_t>();
   } else if (key == "sched_seed_t") {
-    c.sched_seed_t = read_value<std::uint64_t>(is, line);
+    c.sched_seed_t = in.read<std::uint64_t>();
   } else if (key == "sched_seed_r") {
-    c.sched_seed_r = read_value<std::uint64_t>(is, line);
+    c.sched_seed_r = in.read<std::uint64_t>();
   } else if (key == "delay_seed") {
-    c.delay_seed = read_value<std::uint64_t>(is, line);
+    c.delay_seed = in.read<std::uint64_t>();
   } else if (key == "block_override") {
-    c.block_override = read_value<std::uint32_t>(is, line);
+    c.block_override = in.read<std::uint32_t>();
   } else if (key == "wait_override") {
-    c.wait_override = read_value<std::uint32_t>(is, line);
+    c.wait_override = in.read<std::uint32_t>();
   } else if (key == "max_events") {
-    c.max_events = read_value<std::uint64_t>(is, line);
-    if (c.max_events == 0) malformed("max_events must be positive", line);
+    c.max_events = in.read<std::uint64_t>();
+    if (c.max_events == 0) in.malformed("max_events must be positive");
   } else if (key == "faults") {
-    c.faults_enabled = read_value<std::uint32_t>(is, line) != 0;
+    c.faults_enabled = in.read<std::uint32_t>() != 0;
   } else if (key == "fault_seed") {
-    c.fault_seed = read_value<std::uint64_t>(is, line);
+    c.fault_seed = in.read<std::uint64_t>();
   } else if (key == "rates") {
-    c.rates.drop_pm = read_value<std::uint32_t>(is, line);
-    c.rates.duplicate_pm = read_value<std::uint32_t>(is, line);
-    c.rates.late_pm = read_value<std::uint32_t>(is, line);
-    c.rates.corrupt_pm = read_value<std::uint32_t>(is, line);
-    c.rates.max_duplicates = read_value<std::uint32_t>(is, line);
-    c.rates.max_late = Duration{read_value<std::int64_t>(is, line)};
-    c.rates.corrupt_space = read_value<std::uint32_t>(is, line);
+    c.rates.drop_pm = in.read<std::uint32_t>();
+    c.rates.duplicate_pm = in.read<std::uint32_t>();
+    c.rates.late_pm = in.read<std::uint32_t>();
+    c.rates.corrupt_pm = in.read<std::uint32_t>();
+    c.rates.max_duplicates = in.read<std::uint32_t>();
+    c.rates.max_late = Duration{in.read<std::int64_t>()};
+    c.rates.corrupt_space = in.read<std::uint32_t>();
     try {
       c.rates.validate();
     } catch (const ContractViolation& e) {
-      malformed(e.what(), line);
+      in.malformed(e.what());
     }
   } else if (key == "pin") {
     fault::PinnedFault pin;
-    pin.send_seq = read_value<std::uint64_t>(is, line);
-    std::string name;
-    if (!(is >> name)) malformed("missing pin kind", line);
-    const auto kind = fault::fault_kind_from_string(name);
-    if (!kind.has_value()) malformed("unknown fault kind", line);
+    pin.send_seq = in.read<std::uint64_t>();
+    const auto kind = fault::fault_kind_from_string(in.read<std::string>("missing pin kind"));
+    if (!kind.has_value()) in.malformed("unknown fault kind");
     pin.kind = *kind;
-    pin.arg = read_value<std::uint32_t>(is, line);
+    pin.arg = in.read<std::uint32_t>();
     c.pins.push_back(pin);
   } else {
     return false;
   }
   return true;
-}
-
-/// Strips a trailing comment and surrounding whitespace; empty = skip.
-[[nodiscard]] std::string clean_line(const std::string& raw) {
-  std::string line = raw;
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return {};
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
-
-/// Reads the header line (skipping blanks/comments); throws on mismatch.
-void expect_header(std::istream& is, std::string_view header) {
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line != header) malformed("expected header", line);
-    return;
-  }
-  malformed("empty document", "");
 }
 
 }  // namespace
@@ -593,19 +538,14 @@ void write_fuzz_case(std::ostream& os, const FuzzCase& c) {
 }
 
 FuzzCase parse_fuzz_case(std::istream& is) {
-  expect_header(is, kCaseHeader);
+  detail::ArtifactReader in{is, "fuzz"};
+  in.expect_header(kCaseHeader);
   FuzzCase c;
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line == "end") return c;
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
-    if (!apply_case_field(c, key, tokens, line)) malformed("unknown key", line);
+  while (in.next_line()) {
+    if (in.line() == "end") return c;
+    if (!apply_case_field(c, in)) in.malformed("unknown key");
   }
-  malformed("missing 'end'", "");
+  in.malformed("missing 'end'");
 }
 
 FuzzRepro make_fuzz_repro(const FuzzCase& c, const FuzzCaseResult& result) {
@@ -642,44 +582,38 @@ void write_fuzz_repro(std::ostream& os, const FuzzCase& c, const FuzzCaseResult&
 }
 
 FuzzRepro parse_fuzz_repro(std::istream& is) {
-  expect_header(is, kReproHeader);
+  detail::ArtifactReader in{is, "fuzz"};
+  in.expect_header(kReproHeader);
   FuzzRepro repro;
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line == "end") return repro;
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
+  while (in.next_line()) {
+    if (in.line() == "end") return repro;
+    const std::string& key = in.key();
     if (key == "expect_failed") {
-      repro.failed = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.failed = in.read<std::uint32_t>() != 0;
     } else if (key == "expect_crashed") {
-      repro.crashed = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.crashed = in.read<std::uint32_t>() != 0;
     } else if (key == "expect_quiescent") {
-      repro.quiescent = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.quiescent = in.read<std::uint32_t>() != 0;
     } else if (key == "expect_unexcused") {
-      repro.unexcused = read_value<std::size_t>(tokens, line);
+      repro.unexcused = in.read<std::size_t>();
     } else if (key == "expect_fault_events") {
-      repro.fault_events = read_value<std::size_t>(tokens, line);
+      repro.fault_events = in.read<std::size_t>();
     } else if (key == "expect_kinds") {
-      const auto count = read_value<std::size_t>(tokens, line);
+      const auto count = in.read<std::size_t>();
       for (std::size_t i = 0; i < count; ++i) {
-        std::string name;
-        if (!(tokens >> name)) malformed("missing violation kind", line);
-        repro.kinds.push_back(name);
+        repro.kinds.push_back(in.read<std::string>("missing violation kind"));
       }
     } else if (key == "expect_output_hash") {
-      repro.output_hash = read_value<std::uint64_t>(tokens, line);
+      repro.output_hash = in.read<std::uint64_t>();
     } else if (key == "expect_coverage_hash") {
-      repro.coverage_hash = read_value<std::uint64_t>(tokens, line);
+      repro.coverage_hash = in.read<std::uint64_t>();
     } else if (key == "expect_events") {
-      repro.event_count = read_value<std::uint64_t>(tokens, line);
-    } else if (!apply_case_field(repro.fuzz_case, key, tokens, line)) {
-      malformed("unknown key", line);
+      repro.event_count = in.read<std::uint64_t>();
+    } else if (!apply_case_field(repro.fuzz_case, in)) {
+      in.malformed("unknown key");
     }
   }
-  malformed("missing 'end'", "");
+  in.malformed("missing 'end'");
 }
 
 ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro, obs::trace::ModelRecorder* tracer) {

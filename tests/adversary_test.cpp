@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -154,6 +155,25 @@ TEST(AdversaryRepro, IllegalGenomeInAnArtifactIsRejectedAtParse) {
   } catch (const ModelError& e) {
     EXPECT_NE(std::string{e.what()}.find("delays"), std::string::npos) << e.what();
   }
+}
+
+TEST(AdversaryRepro, RejectionsNameTheFormatAndTheLine) {
+  const auto error_of = [](std::string text) {
+    std::istringstream in{std::move(text)};
+    try {
+      (void)parse_adversary_repro(in);
+    } catch (const ModelError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"parsed"};
+  };
+  EXPECT_EQ(error_of("rstp-fuzz-case-v1\nend\n"),
+            "malformed adversary file: expected header in line 'rstp-fuzz-case-v1'");
+  EXPECT_EQ(error_of("rstp-adversary-v1\nprotocol omega\nend\n"),
+            "malformed adversary file: unknown protocol in line 'protocol omega'");
+  EXPECT_EQ(error_of("rstp-adversary-v1\ndelays 0\nend\n"),
+            "malformed adversary file: table size out of range in line 'delays 0'");
+  EXPECT_EQ(error_of("rstp-adversary-v1\n"), "malformed adversary file: missing 'end'");
 }
 
 std::vector<obs::RunMetricsRecord> read_gap_baseline() {

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "rstp/common/check.h"
 #include "rstp/sim/campaign_bench.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 namespace {
@@ -126,6 +131,53 @@ TEST(Campaign, SingleJobRerunMatchesTheCampaignRow) {
     const CampaignJobResult rerun =
         run_campaign_job(campaign.job(index), spec.input_bits, spec.max_events);
     EXPECT_TRUE(rerun == result.jobs[index]) << "job " << index;
+  }
+}
+
+// parallel_for_slots is the one worker pool behind Campaign, MultiSession,
+// the fuzzer and the adversary search.
+TEST(ParallelForSlots, EveryIndexRunsExactlyOnce) {
+  constexpr std::size_t kSlotCounts[] = {0, 1, 5, 100};
+  for (const std::size_t n : kSlotCounts) {
+    for (const unsigned jobs : {0u, 1u, 3u, 8u}) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for_slots(n, jobs, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " jobs=" << jobs << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelForSlots, SlotExceptionIsRethrownOnTheCallerAndStopsClaims) {
+  // Slot 0 throws; every other slot sleeps, so a pool that kept claiming
+  // after the failure would run all of them.
+  constexpr std::size_t kSlots = 200;
+  for (const unsigned jobs : {1u, 3u}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id thrower;
+    std::atomic<std::size_t> ran{0};
+    try {
+      parallel_for_slots(kSlots, jobs, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 0) {
+          thrower = std::this_thread::get_id();
+          throw std::runtime_error("slot 0");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      });
+      ADD_FAILURE() << "jobs=" << jobs << ": the slot's exception did not propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "slot 0");
+    }
+    // One job runs inline on the caller; more jobs throw on a worker thread
+    // and the exception crosses back to the caller.
+    EXPECT_EQ(thrower == caller, jobs == 1) << "jobs=" << jobs;
+    if (jobs == 1) {
+      EXPECT_EQ(ran.load(), 1u);
+    } else {
+      EXPECT_LT(ran.load(), kSlots) << "jobs=" << jobs;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "rstp/channel/channel.h"
@@ -314,6 +315,25 @@ TEST(FuzzSerialization, MalformedDocumentsAreModelErrors) {
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nk banana\nend\n"), ModelError);
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nparams 3 2 9\nend\n"), ModelError);
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nprotocol omega\nend\n"), ModelError);
+}
+
+TEST(FuzzSerialization, RejectionsNameTheFormatAndTheLine) {
+  const auto error_of = [](std::string text) {
+    std::istringstream in{std::move(text)};
+    try {
+      (void)sim::parse_fuzz_repro(in);
+    } catch (const ModelError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"parsed"};
+  };
+  EXPECT_EQ(error_of("rstp-fuzz-repro-v1\nk banana # comment\nend\n"),
+            "malformed fuzz file: missing or bad value in line 'k banana'");
+  EXPECT_EQ(error_of("rstp-fuzz-repro-v1\nexpect_kinds 2 DeliveryTooLate\nend\n"),
+            "malformed fuzz file: missing violation kind in line "
+            "'expect_kinds 2 DeliveryTooLate'");
+  EXPECT_EQ(error_of("rstp-fuzz-repro-v1\nk 4\n"), "malformed fuzz file: missing 'end'");
+  EXPECT_EQ(error_of("\n# only comments\n"), "malformed fuzz file: empty document");
 }
 
 // ---------------------------------------------------------------------------

@@ -212,13 +212,6 @@ int bad_number(std::string_view what, std::string_view token) {
   }
 }
 
-std::optional<ProtocolKind> parse_protocol(const std::string& name) {
-  for (const auto kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
 /// Parses the input argument: a pure 0/1 string of length ≥ 8 is a literal
 /// bit sequence; anything else is a decimal length for a seeded random
 /// input (so "64" is 64 random bits, "01100110" is those exact 8 bits).
@@ -264,7 +257,7 @@ int cmd_bounds(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   if (argc < 8) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
@@ -497,7 +490,7 @@ int cmd_verify(int argc, char** argv) {
 
 int cmd_explore(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
@@ -758,7 +751,7 @@ int cmd_mega(int argc, char** argv) {
       if (!parsed.has_value()) return bad_number("--threads", argv[i]);
       threads = *parsed;
     } else if (arg == "--protocol" && i + 1 < argc) {
-      const auto kind = parse_protocol(argv[++i]);
+      const auto kind = protocols::protocol_from_string(argv[++i]);
       if (!kind.has_value()) {
         std::cerr << "unknown protocol '" << argv[i] << "'\n";
         return 2;
@@ -923,7 +916,7 @@ int cmd_report(int argc, char** argv) {
 
 int cmd_fuzz(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
