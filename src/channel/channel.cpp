@@ -90,11 +90,6 @@ void Channel::send(const ioa::Packet& packet, Time now) {
   ++send_seq_;
 }
 
-std::optional<Time> Channel::next_delivery_time() const {
-  if (in_flight_.empty()) return std::nullopt;
-  return in_flight_.front().deliver_at;
-}
-
 const std::vector<InFlightPacket>& Channel::collect_due(Time now) {
   // Nests under the simulator's deliver phase (channel_push, its counterpart
   // on the send side, nests under sim_step).

@@ -72,8 +72,19 @@ class Channel {
   /// Accepts a send(p) input at time `now`.
   void send(const ioa::Packet& packet, Time now);
 
+  /// Earliest pending delivery instant, or Time::max() when nothing is in
+  /// flight. The simulator's per-event dispatch reads this scalar: returning
+  /// a plain Time keeps the value in a register, where an std::optional<Time>
+  /// built by narrow stores and reloaded whole stalls store forwarding.
+  [[nodiscard]] Time head_time() const {
+    return in_flight_.empty() ? Time::max() : in_flight_.front().deliver_at;
+  }
+
   /// Earliest pending delivery instant, if any packet is in flight.
-  [[nodiscard]] std::optional<Time> next_delivery_time() const;
+  [[nodiscard]] std::optional<Time> next_delivery_time() const {
+    if (empty()) return std::nullopt;
+    return head_time();
+  }
 
   /// Pops and returns every packet whose delivery instant is ≤ `now`, in
   /// delivery order (time, order_key, send_seq). The returned reference is to

@@ -65,9 +65,11 @@ inline constexpr std::uint16_t kWaitT = 1;  ///< transmitter inter-block wait
 inline constexpr std::uint16_t kIdleR = 2;  ///< receiver idle
 inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
 
-[[nodiscard]] ioa::Action wait_t_action();
-[[nodiscard]] ioa::Action idle_r_action();
-[[nodiscard]] ioa::Action idle_t_action();
+// Inline so an enabled_local() returning one of these builds its
+// std::optional<Action> in place instead of copying an out-of-line return.
+[[nodiscard]] inline ioa::Action wait_t_action() { return ioa::Action::internal(kWaitT, "wait_t"); }
+[[nodiscard]] inline ioa::Action idle_r_action() { return ioa::Action::internal(kIdleR, "idle_r"); }
+[[nodiscard]] inline ioa::Action idle_t_action() { return ioa::Action::internal(kIdleT, "idle_t"); }
 
 /// A_t: accepts r→t packets as inputs and reports when its last send(p) is
 /// behind it (used by the effort harness and by tests).

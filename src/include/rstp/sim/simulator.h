@@ -156,7 +156,18 @@ class Simulator {
 
   /// True when nothing remains: event cap reached or globally quiescent.
   [[nodiscard]] bool finished() const;
-  [[nodiscard]] std::optional<Time> compute_next_instant() const;
+  /// The next dispatch instant, or kFinished when the run is over.
+  [[nodiscard]] Time compute_next_instant() const;
+  /// compute_next_instant(), cached until the next advance().
+  [[nodiscard]] Time cached_instant();
+
+  /// The dispatch path passes instants as plain Time with this sentinel for
+  /// "run over" rather than as std::optional<Time>, whose narrow-store /
+  /// wide-load round trips stall store forwarding on every event. It cannot
+  /// collide with a real instant: instants start at 0 and grow by validated
+  /// gaps ≤ c2 or delays ≤ d (plus a bounded late-fault overshoot), one per
+  /// event, and the run is capped by max_events — far below 2^63 ticks.
+  static constexpr Time kFinished = Time::max();
 
   channel::Channel* channel_;
   SimConfig config_;
@@ -168,8 +179,9 @@ class Simulator {
   bool record_events_ = false;  ///< cached record_trace || observer
   bool ran_ = false;
   bool taken_ = false;
-  /// Cached next_instant() (valid until the next advance()).
-  std::optional<Time> instant_;
+  /// Cached next dispatch instant, kFinished when the run is over (valid
+  /// until the next advance()).
+  Time instant_{};
   bool instant_valid_ = false;
   /// The in-progress result of the incremental API; run() uses it too.
   RunResult result_;

@@ -139,11 +139,10 @@ void Simulator::deliver_due(RunResult& result, Time now) {
     // A stopped process can be re-enabled by input; let it resume stepping.
     ProcessState& ps = procs_[index_of(flight.packet.destination())];
     if (ps.stopped) {
-      std::optional<Action> resume;
-      {
+      const std::optional<Action> resume = [&ps] {
         const obs::ScopedPhaseTimer enabled_timer{obs::Phase::ProtoEnabled};
-        resume = ps.automaton->enabled_local();
-      }
+        return ps.automaton->enabled_local();
+      }();
       if (resume.has_value()) {
         ps.stopped = false;
         ps.next_step = flight.deliver_at + validated_gap(flight.packet.destination(),
@@ -155,11 +154,13 @@ void Simulator::deliver_due(RunResult& result, Time now) {
 
 void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId id) {
   const obs::ScopedPhaseTimer timer{obs::Phase::SimStep};
-  std::optional<Action> action;
-  {
+  // Initialized in place, not default-constructed and then assigned: the
+  // assignment rewrites the optional with narrow stores that the next whole
+  // read cannot forward from.
+  const std::optional<Action> action = [&ps] {
     const obs::ScopedPhaseTimer enabled_timer{obs::Phase::ProtoEnabled};
-    action = ps.automaton->enabled_local();
-  }
+    return ps.automaton->enabled_local();
+  }();
   if (!action.has_value()) {
     ps.stopped = true;
     return;
@@ -270,10 +271,15 @@ bool Simulator::finished() const {
 
 std::optional<Time> Simulator::next_instant() {
   RSTP_CHECK(ran_, "next_instant requires start()");
-  // Cached between calls so the run() loop (and a heap-driven MultiSession,
-  // which reads the instant once to key its heap and again in advance())
-  // pays one quiescence check + min fold per dispatch, like the original
-  // monolithic loop. advance() invalidates it.
+  const Time instant = cached_instant();
+  if (instant == kFinished) return std::nullopt;
+  return instant;
+}
+
+Time Simulator::cached_instant() {
+  // Cached between calls so the run() loop, which reads the instant once to
+  // test for the end and again in advance(), pays one quiescence check + min
+  // fold per dispatch. advance() invalidates it.
   if (!instant_valid_) {
     instant_ = compute_next_instant();
     instant_valid_ = true;
@@ -281,30 +287,28 @@ std::optional<Time> Simulator::next_instant() {
   return instant_;
 }
 
-std::optional<Time> Simulator::compute_next_instant() const {
-  if (finished()) return std::nullopt;
+Time Simulator::compute_next_instant() const {
+  if (finished()) return kFinished;
   // Earliest pending instant among deliveries and process steps; at equal
-  // times deliveries go first, then the transmitter, then the receiver.
+  // times deliveries go first, then the transmitter, then the receiver. An
+  // empty channel reads Time::max(), so it never wins the fold.
   const ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
   const ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  const std::optional<Time> delivery = channel_->next_delivery_time();
-  Time now = Time::max();
-  if (delivery.has_value()) now = std::min(now, *delivery);
+  Time now = channel_->head_time();
   if (!t.stopped) now = std::min(now, t.next_step);
   if (!r.stopped) now = std::min(now, r.next_step);
-  RSTP_CHECK(now != Time::max(), "no pending events but not quiescent");
+  RSTP_CHECK(now != kFinished, "no pending events but not quiescent");
   return now;
 }
 
 void Simulator::advance() {
-  const std::optional<Time> instant = next_instant();
-  RSTP_CHECK(instant.has_value(), "advance() past the end of the run");
+  RSTP_CHECK(ran_, "advance requires start()");
+  const Time now = cached_instant();
+  RSTP_CHECK(now != kFinished, "advance() past the end of the run");
   instant_valid_ = false;
-  const Time now = *instant;
   ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
   ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  const std::optional<Time> delivery = channel_->next_delivery_time();
-  if (delivery.has_value() && *delivery <= now) {
+  if (channel_->head_time() <= now) {
     deliver_due(result_, now);
     return;
   }
@@ -352,7 +356,7 @@ RunResult Simulator::take_result() {
 
 RunResult Simulator::run() {
   start();
-  while (next_instant().has_value()) {
+  while (cached_instant() != kFinished) {
     advance();
   }
   return take_result();

@@ -7,6 +7,7 @@
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
+#include "rstp/fault/fault.h"
 
 namespace rstp::channel {
 namespace {
@@ -93,6 +94,64 @@ TEST(Channel, RandomPolicyStaysWithinWindowAndCanReorder) {
     if (i > 0 && due[i].send_seq < due[i - 1].send_seq) reordered = true;
   }
   EXPECT_TRUE(reordered) << "uniform random delays over a long stream should reorder";
+}
+
+/// head_time() is the scalar form of next_delivery_time(): Time::max() when
+/// empty, otherwise the earliest pending instant — nothing is due before it.
+void expect_head_agrees(Channel& chan) {
+  const std::optional<Time> next = chan.next_delivery_time();
+  if (chan.empty()) {
+    EXPECT_FALSE(next.has_value());
+    EXPECT_EQ(chan.head_time(), Time::max());
+    return;
+  }
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(chan.head_time(), *next);
+  EXPECT_LT(chan.head_time(), Time::max());
+  EXPECT_TRUE(chan.collect_due(chan.head_time() - Duration{1}).empty());
+}
+
+TEST(Channel, HeadTimeAgreesWithNextDeliveryTime) {
+  Channel chan{Duration{20}, make_uniform_random(7, Duration{0}, Duration{20}, Duration{20})};
+  expect_head_agrees(chan);
+  for (std::uint32_t p = 0; p < 12; ++p) {
+    chan.send(Packet::to_receiver(p), at_tick(p));
+    expect_head_agrees(chan);
+  }
+  // Partial collects drain the heap one instant at a time.
+  while (!chan.empty()) {
+    const Time head = chan.head_time();
+    EXPECT_FALSE(chan.collect_due(head).empty());
+    expect_head_agrees(chan);
+  }
+}
+
+TEST(Channel, HeadTimeAgreesWithFaultsInFlight) {
+  // Send 1 is delivered 3 ticks past its deadline, send 2 arrives three times.
+  fault::SeededFaultInjector injector{
+      1, fault::FaultRates{},
+      {fault::PinnedFault{1, fault::FaultKind::Late, 3},
+       fault::PinnedFault{2, fault::FaultKind::Duplicate, 2}}};
+  Channel chan{Duration{4}, make_max_delay()};
+  chan.set_fault_injector(&injector);
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    chan.send(Packet::to_receiver(p), at_tick(p));
+    expect_head_agrees(chan);
+  }
+  EXPECT_EQ(chan.in_flight(), 6u);
+  std::size_t delivered = 0;
+  for (std::int64_t now = 0; now <= 10; ++now) {
+    delivered += chan.collect_due(at_tick(now)).size();
+    expect_head_agrees(chan);
+    if (now == 7) {
+      // Only the late packet is left: due at 1 + d + 3 = 8, after its deadline.
+      ASSERT_EQ(chan.in_flight(), 1u);
+      EXPECT_EQ(chan.head_time(), at_tick(8));
+    }
+  }
+  EXPECT_EQ(delivered, 6u);
+  EXPECT_TRUE(chan.empty());
+  EXPECT_EQ(chan.fault_log().size(), 3u);  // one late + two duplicate copies
 }
 
 TEST(Channel, ConstructionContracts) {

@@ -1,14 +1,21 @@
 // Tests for the discrete-event simulator, using purpose-built micro-automata
 // (exercising the ioa::Automaton interface directly, independent of the
-// shipped protocols).
+// shipped protocols), plus the incremental API (start / next_instant /
+// advance / take_result) checked field by field against run() over the
+// paper's protocols.
 #include "rstp/sim/simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
+#include "rstp/common/rng.h"
+#include "rstp/core/effort.h"
+#include "rstp/protocols/factory.h"
 
 namespace rstp::sim {
 namespace {
@@ -95,6 +102,45 @@ class EchoReceiver final : public ioa::Automaton {
   bool echo_;
   std::vector<std::uint32_t> received_;
   int pending_acks_ = 0;
+};
+
+/// Stop-and-wait sender: sends payloads 0..n-1, but after each send has no
+/// enabled local action (so the simulator stops it) until the ack arrives.
+class StopAndWaitSender final : public ioa::Automaton {
+ public:
+  explicit StopAndWaitSender(std::uint32_t n) : n_(n) {}
+  [[nodiscard]] std::string_view name() const override { return "stop_and_wait_sender"; }
+  [[nodiscard]] std::optional<Action> enabled_local() const override {
+    if (!awaiting_ && sent_ < n_) return Action::send(Packet::to_receiver(sent_));
+    return std::nullopt;
+  }
+  void apply(const Action& action) override {
+    if (action.kind == ActionKind::Recv) {
+      awaiting_ = false;
+      return;
+    }
+    RSTP_CHECK(enabled_local().has_value() && *enabled_local() == action, "not enabled");
+    ++sent_;
+    awaiting_ = true;
+  }
+  [[nodiscard]] bool accepts_input(const Action& a) const override {
+    return a.kind == ActionKind::Recv &&
+           a.packet.direction == Packet::Direction::ReceiverToTransmitter;
+  }
+  [[nodiscard]] bool quiescent() const override { return sent_ >= n_ && !awaiting_; }
+  [[nodiscard]] std::string snapshot() const override {
+    std::ostringstream os;
+    os << "sw " << sent_ << ' ' << awaiting_;
+    return os.str();
+  }
+  [[nodiscard]] std::unique_ptr<Automaton> clone() const override {
+    return std::make_unique<StopAndWaitSender>(*this);
+  }
+
+ private:
+  std::uint32_t n_;
+  std::uint32_t sent_ = 0;
+  bool awaiting_ = false;
 };
 
 SimConfig config_for(const core::TimingParams& params) {
@@ -339,6 +385,133 @@ TEST(Simulator, RecordTraceOffKeepsCountsOnly) {
   EXPECT_TRUE(result.trace.empty());
   EXPECT_EQ(result.transmitter_sends, 3u);
   EXPECT_GT(result.event_count, 0u);
+}
+
+// --- Incremental API -------------------------------------------------------
+
+/// Field-by-field RunResult equality (RunResult has no operator==).
+void expect_same_result(const RunResult& expected, const RunResult& got) {
+  EXPECT_EQ(expected.trace.events(), got.trace.events());
+  EXPECT_EQ(expected.output, got.output);
+  EXPECT_EQ(expected.last_transmitter_send, got.last_transmitter_send);
+  EXPECT_EQ(expected.end_time, got.end_time);
+  EXPECT_EQ(expected.event_count, got.event_count);
+  EXPECT_EQ(expected.transmitter_steps, got.transmitter_steps);
+  EXPECT_EQ(expected.receiver_steps, got.receiver_steps);
+  EXPECT_EQ(expected.transmitter_sends, got.transmitter_sends);
+  EXPECT_EQ(expected.receiver_sends, got.receiver_sends);
+  EXPECT_EQ(expected.dropped_packets, got.dropped_packets);
+  EXPECT_EQ(expected.faults, got.faults);
+  EXPECT_EQ(expected.quiescent, got.quiescent);
+  EXPECT_EQ(expected.metrics, got.metrics);
+}
+
+/// Drives a fresh simulator through the incremental API, checking on the way
+/// that next_instant() has a value exactly while the run is not over.
+RunResult run_incrementally(Simulator& sim) {
+  EXPECT_THROW((void)sim.next_instant(), ContractViolation);  // before start()
+  sim.start();
+  Time last = Time::zero();
+  bool checked_unfinished = false;
+  while (const std::optional<Time> now = sim.next_instant()) {
+    EXPECT_EQ(sim.next_instant(), now);  // cached until advance()
+    EXPECT_GE(*now, last);
+    last = *now;
+    if (!checked_unfinished) {
+      EXPECT_THROW((void)sim.take_result(), ContractViolation);  // not over yet
+      checked_unfinished = true;
+    }
+    sim.advance();
+  }
+  EXPECT_FALSE(sim.next_instant().has_value());
+  EXPECT_THROW(sim.advance(), ContractViolation);  // advance() past the end
+  EXPECT_FALSE(sim.next_instant().has_value());
+  return sim.take_result();
+}
+
+/// One session of a shipped protocol, wired exactly like core::run_protocol.
+struct ProtocolSession {
+  protocols::ProtocolInstance instance;
+  std::unique_ptr<StepScheduler> t_sched;
+  std::unique_ptr<StepScheduler> r_sched;
+  std::unique_ptr<channel::Channel> chan;
+  std::unique_ptr<Simulator> sim;
+};
+
+ProtocolSession make_session(protocols::ProtocolKind kind, const core::Environment& env,
+                             std::uint64_t max_events) {
+  protocols::ProtocolConfig config;
+  config.params = core::TimingParams::make(1, 2, 4);
+  config.k = 4;
+  config.input = core::make_random_input(24, 0x5EED);
+  ProtocolSession s;
+  s.instance = protocols::make_protocol(kind, config);
+  Rng seeder{env.seed};
+  s.t_sched = core::make_scheduler(env.transmitter_sched, config.params, seeder.next_u64());
+  s.r_sched = core::make_scheduler(env.receiver_sched, config.params, seeder.next_u64());
+  s.chan = std::make_unique<channel::Channel>(
+      config.params.d, core::make_delivery_policy(env.delay, config.params, seeder.next_u64()));
+  SimConfig sim_config = config_for(config.params);
+  sim_config.record_trace = true;
+  sim_config.max_events = max_events;
+  s.sim = std::make_unique<Simulator>(*s.instance.transmitter, *s.instance.receiver, *s.chan,
+                                      *s.t_sched, *s.r_sched, sim_config);
+  return s;
+}
+
+TEST(SimulatorIncremental, MatchesRunForPaperProtocolsAndEnvironments) {
+  const core::Environment environments[] = {
+      core::Environment::worst_case(), core::Environment::adversarial_fast(),
+      core::Environment::randomized(11), core::Environment::randomized(12)};
+  for (const protocols::ProtocolKind kind : protocols::kPaperProtocolKinds) {
+    for (const core::Environment& env : environments) {
+      SCOPED_TRACE(testing::Message() << kind << " env seed " << env.seed << " delay "
+                                      << static_cast<int>(env.delay));
+      ProtocolSession whole = make_session(kind, env, SimConfig{}.max_events);
+      const RunResult expected = whole.sim->run();
+      ASSERT_TRUE(expected.quiescent);
+      ASSERT_FALSE(expected.trace.events().empty());
+      ProtocolSession stepped = make_session(kind, env, SimConfig{}.max_events);
+      expect_same_result(expected, run_incrementally(*stepped.sim));
+    }
+  }
+}
+
+TEST(SimulatorIncremental, EventCapReportsNotQuiescentOnBothPaths) {
+  constexpr std::uint64_t kCap = 10;
+  for (const protocols::ProtocolKind kind : protocols::kPaperProtocolKinds) {
+    SCOPED_TRACE(testing::Message() << kind);
+    ProtocolSession whole = make_session(kind, core::Environment::worst_case(), kCap);
+    const RunResult expected = whole.sim->run();
+    EXPECT_FALSE(expected.quiescent);
+    EXPECT_GE(expected.event_count, kCap);
+    ProtocolSession stepped = make_session(kind, core::Environment::worst_case(), kCap);
+    const RunResult got = run_incrementally(*stepped.sim);
+    EXPECT_FALSE(got.quiescent);
+    expect_same_result(expected, got);
+  }
+}
+
+TEST(SimulatorIncremental, StoppedProcessResumesOnInputOnBothPaths) {
+  // The paper's protocols idle instead of stopping mid-run, so a stop-and-wait
+  // sender drives the stop/resume path: after each send it has nothing
+  // enabled until the ack comes back 2d later.
+  const auto params = core::TimingParams::make(1, 2, 4);
+  const auto run_session = [&params](bool incremental) {
+    StopAndWaitSender sender{5};
+    EchoReceiver receiver{true};
+    channel::Channel chan{params.d, channel::make_max_delay()};
+    FixedRateScheduler ts{params.c1};
+    FixedRateScheduler rs{params.c1};
+    Simulator sim{sender, receiver, chan, ts, rs, config_for(params)};
+    return incremental ? run_incrementally(sim) : sim.run();
+  };
+  const RunResult expected = run_session(false);
+  EXPECT_TRUE(expected.quiescent);
+  EXPECT_EQ(expected.transmitter_sends, 5u);
+  // Resumed steps follow a gap longer than c2: proof the sender was stopped.
+  EXPECT_GT(expected.metrics.transmitter_gap.max(), params.c2.ticks());
+  expect_same_result(expected, run_session(true));
 }
 
 }  // namespace
