@@ -22,13 +22,18 @@ BENCHMARK.json:
     more than the metric's bound; "unresolved" means that bound is narrower
     than the base's quartile distance; otherwise "no claim".
 
-A pair whose run reports failed units, or any digest mismatch, is printed and
-makes the script exit non-zero. Uses the standard library only.
+Both sides of every pair must print the same digest of the workload's fold:
+on a held-out seed there is no recorded digest to check either side against,
+so agreement with the base is the only behaviour check. A pair whose sides
+disagree, or whose run reports failed units or a mismatch with a recorded
+digest, is printed and makes the script exit non-zero. Uses the standard
+library only.
 """
 
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -103,6 +108,28 @@ def run_once(checkout, target_dir, args):
     return values, result["failed"], digest
 
 
+def digest_value(line):
+    """The hex digest in run.py's digest line, or None when there is none."""
+    m = re.match(r"digest (?:ok: |MISMATCH: )?([0-9a-f]+) ", line)
+    return m.group(1) if m else None
+
+
+def pair_problems(base, change):
+    """Why one pair fails the behaviour check; empty when it passes.
+
+    `base` and `change` are each side's (failed units, digest line)."""
+    problems = []
+    for side, (failed, line) in (("base", base), ("change", change)):
+        if failed:
+            problems.append("%s reported %d failed units" % (side, failed))
+        if "MISMATCH" in line:
+            problems.append("%s digest mismatches the recorded one" % side)
+    want, got = digest_value(base[1]), digest_value(change[1])
+    if want is None or want != got:
+        problems.append("digests differ: base %s, change %s" % (want, got))
+    return problems
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -143,13 +170,17 @@ def main(argv):
     bad = False
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        checks = {}
         for side in order:
             values, failed, digest = run_once(*sides[side], args)
             samples[side].append(values)
-            bad = bad or failed != 0 or "MISMATCH" in digest
+            checks[side] = (failed, digest)
             log("pair %2d %-6s failed=%d %s %s" % (
                 i + 1, side, failed, digest.split(" (")[0],
                 " ".join("%s=%.6g" % kv for kv in sorted(values.items()))))
+        for problem in pair_problems(checks["base"], checks["change"]):
+            log("pair %2d FAILED: %s" % (i + 1, problem))
+            bad = True
 
     print("%s seed %d, %d pairs of %gs, base %s" % (
         args.workload, args.seed, args.pairs, args.seconds, commit[:12]))
@@ -169,7 +200,7 @@ def main(argv):
             cq[1] / bq[1] if bq[1] else float("nan"), wins, args.pairs,
             verdict(metric, base, change, wins, args.pairs)))
     if bad:
-        print("FAILED: a run reported failed units or a digest mismatch")
+        print("FAILED: a pair reported failed units or its digests disagree")
         return 1
     return 0
 

@@ -34,10 +34,6 @@ std::shared_ptr<BlockPlanner> checked_planner(const protocols::ProtocolConfig& c
 AdaptiveBetaTransmitter::AdaptiveBetaTransmitter(const protocols::ProtocolConfig& config)
     : planner_(checked_planner(config, BlockPlanner::Discipline::TimedBlocks)) {
   if (planner_->input_bits() == 0) phase_ = Phase::Done;
-  std::ostringstream os;
-  os << "A_t^beta-est(k=" << config.k << ",margin=" << planner_->estimator().config().margin
-     << ",n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AdaptiveBetaTransmitter::enabled_local() const {
@@ -109,9 +105,6 @@ AdaptiveBetaReceiver::AdaptiveBetaReceiver(const protocols::ProtocolConfig& conf
     : planner_(checked_planner(config, BlockPlanner::Discipline::TimedBlocks)),
       block_(config.k),
       target_length_(config.input.size()) {
-  std::ostringstream os;
-  os << "A_r^beta-est(k=" << config.k << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AdaptiveBetaReceiver::enabled_local() const {
@@ -169,10 +162,6 @@ std::unique_ptr<ioa::Automaton> AdaptiveBetaReceiver::clone() const {
 AdaptiveGammaTransmitter::AdaptiveGammaTransmitter(const protocols::ProtocolConfig& config)
     : planner_(checked_planner(config, BlockPlanner::Discipline::AckedBlocks)) {
   if (planner_->input_bits() == 0) phase_ = Phase::Done;
-  std::ostringstream os;
-  os << "A_t^gamma-est(k=" << config.k << ",margin=" << planner_->estimator().config().margin
-     << ",n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AdaptiveGammaTransmitter::enabled_local() const {
@@ -244,9 +233,6 @@ AdaptiveGammaReceiver::AdaptiveGammaReceiver(const protocols::ProtocolConfig& co
     : planner_(checked_planner(config, BlockPlanner::Discipline::AckedBlocks)),
       block_(config.k),
       target_length_(config.input.size()) {
-  std::ostringstream os;
-  os << "A_r^gamma-est(k=" << config.k << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AdaptiveGammaReceiver::enabled_local() const {

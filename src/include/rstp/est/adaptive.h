@@ -37,7 +37,7 @@ class AdaptiveBetaTransmitter final : public protocols::TransmitterBase {
   /// Requires config.planner with Discipline::TimedBlocks.
   explicit AdaptiveBetaTransmitter(const protocols::ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^beta-est"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -48,7 +48,6 @@ class AdaptiveBetaTransmitter final : public protocols::TransmitterBase {
  private:
   enum class Phase : std::uint8_t { Send, Wait, Done };
 
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   Phase phase_ = Phase::Send;
   std::size_t block_ = 0;        ///< current block index
@@ -61,7 +60,7 @@ class AdaptiveBetaReceiver final : public protocols::ReceiverBase {
  public:
   explicit AdaptiveBetaReceiver(const protocols::ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^beta-est"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -70,7 +69,6 @@ class AdaptiveBetaReceiver final : public protocols::ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   std::size_t block_index_ = 0;     ///< block currently being collected
   combinatorics::Multiset block_;   ///< Figure 3's A
@@ -84,7 +82,7 @@ class AdaptiveGammaTransmitter final : public protocols::TransmitterBase {
   /// Requires config.planner with Discipline::AckedBlocks.
   explicit AdaptiveGammaTransmitter(const protocols::ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^gamma-est"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -95,7 +93,6 @@ class AdaptiveGammaTransmitter final : public protocols::TransmitterBase {
  private:
   enum class Phase : std::uint8_t { Send, AwaitAcks, Done };
 
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   Phase phase_ = Phase::Send;
   std::size_t block_ = 0;
@@ -108,7 +105,7 @@ class AdaptiveGammaReceiver final : public protocols::ReceiverBase {
  public:
   explicit AdaptiveGammaReceiver(const protocols::ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^gamma-est"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -117,7 +114,6 @@ class AdaptiveGammaReceiver final : public protocols::ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   std::size_t block_index_ = 0;
   combinatorics::Multiset block_;

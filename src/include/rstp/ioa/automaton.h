@@ -19,13 +19,18 @@
 
 #include "rstp/ioa/action.h"
 
+namespace rstp::obs {
+class CounterSource;
+}  // namespace rstp::obs
+
 namespace rstp::ioa {
 
 class Automaton {
  public:
   virtual ~Automaton() = default;
 
-  /// Human-readable automaton name (e.g. "A_t^beta(k=8)").
+  /// Human-readable automaton name, a per-class literal (e.g. "A_t^beta").
+  /// Parameters are not part of it; snapshot() carries the state.
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// The unique enabled local action in the current state, or nullopt if no
@@ -54,6 +59,12 @@ class Automaton {
 
   /// Deep copy, used by the explorer to branch the state space.
   [[nodiscard]] virtual std::unique_ptr<Automaton> clone() const = 0;
+
+  /// The automaton's protocol counters (obs/run_metrics.h), or null when it
+  /// has none. The default is a dynamic_cast, so any automaton that also
+  /// derives from obs::CounterSource is found; the protocol bases override
+  /// it without RTTI.
+  [[nodiscard]] virtual const obs::CounterSource* counter_source() const;
 
  protected:
   Automaton() = default;

@@ -43,9 +43,9 @@ struct ProtocolCounters {
 };
 
 /// Implemented by automata that expose ProtocolCounters (protocols::
-/// TransmitterBase / ReceiverBase). The simulator discovers it by
-/// dynamic_cast, so automata outside the protocol hierarchy keep working
-/// with zero protocol counters.
+/// TransmitterBase / ReceiverBase). The simulator finds it through
+/// ioa::Automaton::counter_source(), which the protocol bases answer without
+/// RTTI; automata without one keep working with zero protocol counters.
 class CounterSource {
  public:
   virtual ~CounterSource() = default;

@@ -78,6 +78,8 @@ inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
 /// `counters_` at their semantic milestones (block fully sent, ack consumed)
 /// and every protocol reports through the same RunMetrics fields. Protocols
 /// with no block/ack structure simply leave the counters at zero.
+/// counter_source() returns this base directly, so the simulator finds it
+/// without a dynamic_cast.
 class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
  public:
   /// True once the automaton will never perform another send.
@@ -88,6 +90,7 @@ class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
   }
+  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
 
  protected:
   obs::ProtocolCounters counters_;
@@ -104,6 +107,7 @@ class ReceiverBase : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
   }
+  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
 
  protected:
   obs::ProtocolCounters counters_;

@@ -29,9 +29,9 @@ namespace rstp::protocols {
 
 class BetaTransmitter final : public TransmitterBase {
  public:
-  explicit BetaTransmitter(ProtocolConfig config);
+  explicit BetaTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^beta"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -49,7 +49,6 @@ class BetaTransmitter final : public TransmitterBase {
   [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
 
  private:
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;
   std::vector<combinatorics::Symbol> stream_;  // encoded X, block-aligned
   std::int64_t block_ = 0;                     // δ (send-phase length)
@@ -60,9 +59,9 @@ class BetaTransmitter final : public TransmitterBase {
 
 class BetaReceiver final : public ReceiverBase {
  public:
-  explicit BetaReceiver(ProtocolConfig config);
+  explicit BetaReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^beta"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -74,7 +73,6 @@ class BetaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
 
  private:
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;
   combinatorics::Multiset block_;     // Figure 3's A
   std::vector<ioa::Bit> decoded_;     // Figure 3's ŷ_1, ŷ_2, ...

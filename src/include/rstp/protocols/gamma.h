@@ -29,9 +29,9 @@ inline constexpr std::uint32_t kAckPayload = 0;
 
 class GammaTransmitter final : public TransmitterBase {
  public:
-  explicit GammaTransmitter(ProtocolConfig config);
+  explicit GammaTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^gamma"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -45,7 +45,6 @@ class GammaTransmitter final : public TransmitterBase {
   [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
 
  private:
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;
   std::vector<combinatorics::Symbol> stream_;
   std::int64_t delta2_ = 0;  // δ2
@@ -56,9 +55,9 @@ class GammaTransmitter final : public TransmitterBase {
 
 class GammaReceiver final : public ReceiverBase {
  public:
-  explicit GammaReceiver(ProtocolConfig config);
+  explicit GammaReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^gamma"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -69,7 +68,6 @@ class GammaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
 
  private:
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;
   combinatorics::Multiset block_;   // Figure 4's A
   std::vector<ioa::Bit> decoded_;

@@ -172,8 +172,8 @@ class Simulator {
   channel::Channel* channel_;
   SimConfig config_;
   ProcessState procs_[2];  // indexed by ProcessId
-  /// Cached CounterSource view of each automaton (null when it has none);
-  /// resolved once in the constructor so tracer hooks skip the dynamic_cast.
+  /// Each automaton's counter_source() (null when it has none), resolved
+  /// once in the constructor; the tracer hooks and take_result() read it.
   const obs::CounterSource* counter_sources_[2] = {nullptr, nullptr};
   std::uint64_t next_seq_ = 0;
   bool record_events_ = false;  ///< cached record_trace || observer

@@ -19,9 +19,6 @@ AlphaTransmitter::AlphaTransmitter(ProtocolConfig config) {
   wait_steps_ = config.wait_steps_override.has_value()
                     ? static_cast<std::int64_t>(*config.wait_steps_override)
                     : config.params.delta1_wait();
-  std::ostringstream os;
-  os << "A_t^alpha(n=" << input_.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AlphaTransmitter::enabled_local() const {
@@ -70,11 +67,11 @@ std::unique_ptr<ioa::Automaton> AlphaTransmitter::clone() const {
   return std::make_unique<AlphaTransmitter>(*this);
 }
 
-AlphaReceiver::AlphaReceiver(ProtocolConfig config) {
+AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) {
   config.validate();
-  std::ostringstream os;
-  os << "A_r^alpha(n=" << config.input.size() << ")";
-  name_ = os.str();
+  // One packet arrives and one write happens per message of X.
+  received_.reserve(config.input.size());
+  written_.reserve(config.input.size());
 }
 
 std::optional<Action> AlphaReceiver::enabled_local() const {

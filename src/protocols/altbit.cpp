@@ -14,9 +14,6 @@ using ioa::Packet;
 AltBitTransmitter::AltBitTransmitter(ProtocolConfig config) {
   config.validate();
   input_ = std::move(config.input);
-  std::ostringstream os;
-  os << "A_t^altbit(n=" << input_.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AltBitTransmitter::enabled_local() const {
@@ -66,11 +63,8 @@ std::unique_ptr<ioa::Automaton> AltBitTransmitter::clone() const {
   return std::make_unique<AltBitTransmitter>(*this);
 }
 
-AltBitReceiver::AltBitReceiver(ProtocolConfig config) {
+AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) {
   config.validate();
-  std::ostringstream os;
-  os << "A_r^altbit(n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AltBitReceiver::enabled_local() const {

@@ -13,7 +13,7 @@ using ioa::ActionKind;
 using ioa::Bit;
 using ioa::Packet;
 
-BetaTransmitter::BetaTransmitter(ProtocolConfig config) {
+BetaTransmitter::BetaTransmitter(const ProtocolConfig& config) {
   config.validate();
   block_ = config.block_size_override.has_value()
                ? static_cast<std::int64_t>(*config.block_size_override)
@@ -25,10 +25,6 @@ BetaTransmitter::BetaTransmitter(ProtocolConfig config) {
   stream_ = coder_->encode_message(config.input);
   RSTP_CHECK_EQ(stream_.size() % static_cast<std::size_t>(block_), std::size_t{0},
                 "encoded stream must be block-aligned");
-  std::ostringstream os;
-  os << "A_t^beta(k=" << config.k << ",delta=" << block_ << ",wait=" << wait_
-     << ",n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> BetaTransmitter::enabled_local() const {
@@ -74,7 +70,7 @@ std::unique_ptr<ioa::Automaton> BetaTransmitter::clone() const {
   return std::make_unique<BetaTransmitter>(*this);
 }
 
-BetaReceiver::BetaReceiver(ProtocolConfig config)
+BetaReceiver::BetaReceiver(const ProtocolConfig& config)
     : block_(1), target_length_(config.input.size()) {
   config.validate();
   const auto delta = config.block_size_override.has_value()
@@ -82,9 +78,6 @@ BetaReceiver::BetaReceiver(ProtocolConfig config)
                          : static_cast<std::uint32_t>(config.params.delta1_wait());
   coder_ = std::make_shared<const BlockCoder>(config.k, delta);
   block_ = combinatorics::Multiset{config.k};
-  std::ostringstream os;
-  os << "A_r^beta(k=" << config.k << ",delta=" << delta << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> BetaReceiver::enabled_local() const {

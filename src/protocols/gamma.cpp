@@ -12,7 +12,7 @@ using ioa::ActionKind;
 using ioa::Bit;
 using ioa::Packet;
 
-GammaTransmitter::GammaTransmitter(ProtocolConfig config) {
+GammaTransmitter::GammaTransmitter(const ProtocolConfig& config) {
   config.validate();
   delta2_ = config.block_size_override.has_value()
                 ? static_cast<std::int64_t>(*config.block_size_override)
@@ -20,9 +20,6 @@ GammaTransmitter::GammaTransmitter(ProtocolConfig config) {
   RSTP_CHECK_GE(delta2_, 1, "delta2 >= 1 requires c2 <= d");
   coder_ = std::make_shared<const BlockCoder>(config.k, static_cast<std::uint32_t>(delta2_));
   stream_ = coder_->encode_message(config.input);
-  std::ostringstream os;
-  os << "A_t^gamma(k=" << config.k << ",delta2=" << delta2_ << ",n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> GammaTransmitter::enabled_local() const {
@@ -77,7 +74,7 @@ std::unique_ptr<ioa::Automaton> GammaTransmitter::clone() const {
   return std::make_unique<GammaTransmitter>(*this);
 }
 
-GammaReceiver::GammaReceiver(ProtocolConfig config)
+GammaReceiver::GammaReceiver(const ProtocolConfig& config)
     : block_(1), target_length_(config.input.size()) {
   config.validate();
   const auto delta2 = config.block_size_override.has_value()
@@ -85,9 +82,6 @@ GammaReceiver::GammaReceiver(ProtocolConfig config)
                           : static_cast<std::uint32_t>(config.params.delta2());
   coder_ = std::make_shared<const BlockCoder>(config.k, delta2);
   block_ = combinatorics::Multiset{config.k};
-  std::ostringstream os;
-  os << "A_r^gamma(k=" << config.k << ",delta2=" << delta2 << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> GammaReceiver::enabled_local() const {

@@ -25,7 +25,7 @@ using ioa::ProcessId;
 Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
                      channel::Channel& chan, StepScheduler& transmitter_sched,
                      StepScheduler& receiver_sched, SimConfig config)
-    : channel_(&chan), config_(config) {
+    : channel_(&chan), config_(std::move(config)) {
   config_.params.validate();
   if (config_.transmitter_params.has_value()) config_.transmitter_params->validate();
   if (config_.receiver_params.has_value()) config_.receiver_params->validate();
@@ -35,10 +35,8 @@ Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
   procs_[index_of(ProcessId::Transmitter)] = ProcessState{&transmitter, &transmitter_sched};
   procs_[index_of(ProcessId::Receiver)] = ProcessState{&receiver, &receiver_sched};
   record_events_ = config_.record_trace || static_cast<bool>(config_.observer);
-  for (const ProcessId id : {ProcessId::Transmitter, ProcessId::Receiver}) {
-    counter_sources_[index_of(id)] =
-        dynamic_cast<const obs::CounterSource*>(procs_[index_of(id)].automaton);
-  }
+  counter_sources_[index_of(ProcessId::Transmitter)] = transmitter.counter_source();
+  counter_sources_[index_of(ProcessId::Receiver)] = receiver.counter_source();
 }
 
 const obs::ProtocolCounters* Simulator::counters_of(ProcessId id) const {
@@ -333,8 +331,8 @@ RunResult Simulator::take_result() {
   result_.quiescent = result_.event_count < config_.max_events;
   // Fold in the automata's own counters (the ProtocolBase stat-hook).
   // Automata outside the protocol hierarchy simply contribute nothing.
-  for (const ProcessState& ps : procs_) {
-    if (const auto* source = dynamic_cast<const obs::CounterSource*>(ps.automaton)) {
+  for (const obs::CounterSource* source : counter_sources_) {
+    if (source != nullptr) {
       result_.metrics.counters.protocol += source->protocol_counters();
     }
   }

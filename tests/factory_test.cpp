@@ -8,6 +8,7 @@
 
 #include "rstp/common/check.h"
 #include "rstp/core/effort.h"
+#include "rstp/est/estimator.h"
 
 namespace rstp::protocols {
 namespace {
@@ -25,11 +26,49 @@ TEST(Factory, EveryKindConstructs) {
     const ProtocolInstance instance = make_protocol(kind, valid_config(kind));
     ASSERT_NE(instance.transmitter, nullptr) << to_string(kind);
     ASSERT_NE(instance.receiver, nullptr) << to_string(kind);
-    EXPECT_FALSE(instance.transmitter->name().empty());
-    EXPECT_FALSE(instance.receiver->name().empty());
     // Fresh automata are in their start states: nothing transmitted yet.
     EXPECT_FALSE(instance.transmitter->transmission_complete()) << to_string(kind);
     EXPECT_TRUE(instance.receiver->output().empty()) << to_string(kind);
+  }
+}
+
+/// valid_config(kind) with n input bits; Indexed's alphabet grows with n.
+ProtocolConfig config_with_bits(ProtocolKind kind, std::size_t n) {
+  ProtocolConfig cfg = valid_config(kind);
+  cfg.input = core::make_random_input(n, 1);
+  if (kind == ProtocolKind::Indexed) cfg.k = static_cast<std::uint32_t>(2 * n);
+  return cfg;
+}
+
+/// The same, for the estimator-driven β/γ pair.
+ProtocolConfig adaptive_config(ProtocolKind kind, std::size_t n) {
+  ProtocolConfig cfg = config_with_bits(kind, n);
+  cfg.planner = std::make_shared<est::BlockPlanner>(
+      kind == ProtocolKind::Beta ? est::BlockPlanner::Discipline::TimedBlocks
+                                 : est::BlockPlanner::Discipline::AckedBlocks,
+      cfg.k, cfg.input, std::make_shared<est::TimingEstimator>(est::EstimatorConfig{}));
+  return cfg;
+}
+
+void expect_static_names(ProtocolKind kind, const ProtocolConfig& small,
+                         const ProtocolConfig& large) {
+  const ProtocolInstance a = make_protocol(kind, small);
+  const ProtocolInstance b = make_protocol(kind, large);
+  EXPECT_FALSE(a.transmitter->name().empty());
+  EXPECT_FALSE(a.receiver->name().empty());
+  EXPECT_NE(a.transmitter->name(), a.receiver->name());
+  EXPECT_EQ(a.transmitter->name(), b.transmitter->name());
+  EXPECT_EQ(a.receiver->name(), b.receiver->name());
+}
+
+TEST(Factory, AutomatonNamesAreDistinctAndIndependentOfTheConfig) {
+  for (const auto kind : kAllProtocolKinds) {
+    SCOPED_TRACE(to_string(kind));
+    expect_static_names(kind, config_with_bits(kind, 1), config_with_bits(kind, 64));
+  }
+  for (const auto kind : {ProtocolKind::Beta, ProtocolKind::Gamma}) {
+    SCOPED_TRACE(testing::Message() << "adaptive " << to_string(kind));
+    expect_static_names(kind, adaptive_config(kind, 1), adaptive_config(kind, 64));
   }
 }
 

@@ -15,6 +15,7 @@
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
 #include "rstp/core/effort.h"
+#include "rstp/est/estimator.h"
 #include "rstp/protocols/factory.h"
 
 namespace rstp::sim {
@@ -429,9 +430,40 @@ RunResult run_incrementally(Simulator& sim) {
   return sim.take_result();
 }
 
+/// Forwards every call to an inner automaton and re-exports its counters
+/// through its own CounterSource base, without overriding counter_source():
+/// the shape of a timing decorator that sits outside the protocol hierarchy.
+class ForwardingDecorator final : public ioa::Automaton, public obs::CounterSource {
+ public:
+  explicit ForwardingDecorator(ioa::Automaton& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  [[nodiscard]] std::optional<Action> enabled_local() const override {
+    return inner_.enabled_local();
+  }
+  void apply(const Action& action) override { inner_.apply(action); }
+  [[nodiscard]] bool accepts_input(const Action& a) const override {
+    return inner_.accepts_input(a);
+  }
+  [[nodiscard]] bool quiescent() const override { return inner_.quiescent(); }
+  [[nodiscard]] std::string snapshot() const override { return inner_.snapshot(); }
+  [[nodiscard]] std::unique_ptr<Automaton> clone() const override { return inner_.clone(); }
+  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const override {
+    static const obs::ProtocolCounters kNone{};
+    const obs::CounterSource* source = inner_.counter_source();
+    return source != nullptr ? source->protocol_counters() : kNone;
+  }
+
+ private:
+  ioa::Automaton& inner_;
+};
+
 /// One session of a shipped protocol, wired exactly like core::run_protocol.
+/// With `decorate`, the simulator drives the automata through
+/// ForwardingDecorators instead.
 struct ProtocolSession {
   protocols::ProtocolInstance instance;
+  std::unique_ptr<ioa::Automaton> t_decorator;
+  std::unique_ptr<ioa::Automaton> r_decorator;
   std::unique_ptr<StepScheduler> t_sched;
   std::unique_ptr<StepScheduler> r_sched;
   std::unique_ptr<channel::Channel> chan;
@@ -439,7 +471,7 @@ struct ProtocolSession {
 };
 
 ProtocolSession make_session(protocols::ProtocolKind kind, const core::Environment& env,
-                             std::uint64_t max_events) {
+                             std::uint64_t max_events, bool decorate = false) {
   protocols::ProtocolConfig config;
   config.params = core::TimingParams::make(1, 2, 4);
   config.k = 4;
@@ -454,8 +486,16 @@ ProtocolSession make_session(protocols::ProtocolKind kind, const core::Environme
   SimConfig sim_config = config_for(config.params);
   sim_config.record_trace = true;
   sim_config.max_events = max_events;
-  s.sim = std::make_unique<Simulator>(*s.instance.transmitter, *s.instance.receiver, *s.chan,
-                                      *s.t_sched, *s.r_sched, sim_config);
+  ioa::Automaton* transmitter = s.instance.transmitter.get();
+  ioa::Automaton* receiver = s.instance.receiver.get();
+  if (decorate) {
+    s.t_decorator = std::make_unique<ForwardingDecorator>(*transmitter);
+    s.r_decorator = std::make_unique<ForwardingDecorator>(*receiver);
+    transmitter = s.t_decorator.get();
+    receiver = s.r_decorator.get();
+  }
+  s.sim = std::make_unique<Simulator>(*transmitter, *receiver, *s.chan, *s.t_sched, *s.r_sched,
+                                      sim_config);
   return s;
 }
 
@@ -512,6 +552,79 @@ TEST(SimulatorIncremental, StoppedProcessResumesOnInputOnBothPaths) {
   // Resumed steps follow a gap longer than c2: proof the sender was stopped.
   EXPECT_GT(expected.metrics.transmitter_gap.max(), params.c2.ticks());
   expect_same_result(expected, run_session(true));
+}
+
+// --- Counter discovery -----------------------------------------------------
+
+TEST(SimulatorCounters, DecoratorWithoutOverrideMatchesUndecoratedRun) {
+  // The decorator leaves counter_source() at the default, so the simulator
+  // finds its CounterSource base through the dynamic_cast fallback.
+  for (const protocols::ProtocolKind kind : protocols::kPaperProtocolKinds) {
+    SCOPED_TRACE(testing::Message() << kind);
+    const core::Environment env = core::Environment::randomized(11);
+    ProtocolSession plain = make_session(kind, env, SimConfig{}.max_events);
+    ProtocolSession decorated = make_session(kind, env, SimConfig{}.max_events, true);
+    ASSERT_NE(decorated.t_decorator->counter_source(), nullptr);
+    const RunResult expected = plain.sim->run();
+    ASSERT_TRUE(expected.quiescent);
+    const RunResult got = decorated.sim->run();
+    expect_same_result(expected, got);
+    EXPECT_EQ(expected.metrics.counters.protocol, got.metrics.counters.protocol);
+    if (kind == protocols::ProtocolKind::Beta || kind == protocols::ProtocolKind::Gamma) {
+      // Non-vacuous: the block protocols do report counters.
+      EXPECT_GT(got.metrics.counters.protocol.blocks_decoded, 0u);
+    }
+  }
+}
+
+TEST(SimulatorCounters, AutomatonOutsideCounterSourceReportsZero) {
+  const auto params = core::TimingParams::make(1, 2, 4);
+  StopAndWaitSender sender{5};
+  EchoReceiver receiver{true};
+  EXPECT_EQ(sender.counter_source(), nullptr);
+  EXPECT_EQ(receiver.counter_source(), nullptr);
+  channel::Channel chan{params.d, channel::make_max_delay()};
+  FixedRateScheduler ts{params.c1};
+  FixedRateScheduler rs{params.c1};
+  Simulator sim{sender, receiver, chan, ts, rs, config_for(params)};
+  const RunResult result = sim.run();
+  EXPECT_TRUE(result.quiescent);
+  EXPECT_GT(result.metrics.counters.ack_sends, 0u);
+  EXPECT_EQ(result.metrics.counters.protocol, obs::ProtocolCounters{});
+}
+
+void expect_counter_source_matches_cast(const protocols::ProtocolInstance& instance) {
+  const ioa::Automaton& t = *instance.transmitter;
+  const ioa::Automaton& r = *instance.receiver;
+  ASSERT_NE(t.counter_source(), nullptr);
+  ASSERT_NE(r.counter_source(), nullptr);
+  EXPECT_EQ(t.counter_source(), dynamic_cast<const obs::CounterSource*>(&t));
+  EXPECT_EQ(r.counter_source(), dynamic_cast<const obs::CounterSource*>(&r));
+}
+
+TEST(SimulatorCounters, CounterSourceAgreesWithDynamicCastForEveryKind) {
+  for (const protocols::ProtocolKind kind : protocols::kAllProtocolKinds) {
+    SCOPED_TRACE(testing::Message() << kind);
+    protocols::ProtocolConfig config;
+    config.params = core::TimingParams::make(1, 2, 8);
+    config.k = kind == protocols::ProtocolKind::Indexed ? 64u : 8u;
+    config.input = core::make_random_input(16, 1);
+    expect_counter_source_matches_cast(protocols::make_protocol(kind, config));
+  }
+  const std::pair<protocols::ProtocolKind, est::BlockPlanner::Discipline> adaptive[] = {
+      {protocols::ProtocolKind::Beta, est::BlockPlanner::Discipline::TimedBlocks},
+      {protocols::ProtocolKind::Gamma, est::BlockPlanner::Discipline::AckedBlocks}};
+  for (const auto& [kind, discipline] : adaptive) {
+    SCOPED_TRACE(testing::Message() << "adaptive " << kind);
+    protocols::ProtocolConfig config;
+    config.params = core::TimingParams::make(1, 2, 8);
+    config.k = 8;
+    config.input = core::make_random_input(16, 1);
+    config.planner = std::make_shared<est::BlockPlanner>(
+        discipline, config.k, config.input,
+        std::make_shared<est::TimingEstimator>(est::EstimatorConfig{}));
+    expect_counter_source_matches_cast(protocols::make_protocol(kind, config));
+  }
 }
 
 }  // namespace
