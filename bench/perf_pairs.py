@@ -26,8 +26,13 @@ Both sides of every pair must print the same digest of the workload's fold:
 on a held-out seed there is no recorded digest to check either side against,
 so agreement with the base is the only behaviour check. A pair whose sides
 disagree, or whose run reports failed units or a mismatch with a recorded
-digest, is printed and makes the script exit non-zero. Uses the standard
-library only.
+digest, is printed and makes the script exit non-zero.
+
+With --json-out PATH the same summary is also written to PATH as one JSON
+object: the base commit, workload, seed, pairs and run seconds, each pair's
+digests, and per metric each side's median and quartiles, the ratio, the
+wins and the verdict. These files are the trajectory kept under
+bench/trajectory/. Uses the standard library only.
 """
 
 import argparse
@@ -55,6 +60,8 @@ def parse_args(argv, spec):
     p.add_argument("--workload", required=True, choices=workloads)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    p.add_argument("--json-out", metavar="PATH",
+                   help="also write the summary to PATH as JSON")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -154,6 +161,48 @@ def verdict(metric, base, change, wins, pairs):
     return "no claim"
 
 
+def summarize(spec, samples, pairs):
+    """One row per end-to-end metric: each side's quartiles, ratio, wins, verdict."""
+    rows = []
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        base = [s[name] for s in samples["base"]]
+        change = [s[name] for s in samples["change"]]
+        lower = metric["better"] == "lower"
+        wins = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
+        bq, cq = quartiles(base), quartiles(change)
+        rows.append({
+            "metric": name,
+            "better": metric["better"],
+            "base": {"median": bq[1], "q1": bq[0], "q3": bq[2]},
+            "change": {"median": cq[1], "q1": cq[0], "q3": cq[2]},
+            "ratio": cq[1] / bq[1] if bq[1] else None,
+            "wins": wins,
+            "verdict": verdict(metric, base, change, wins, pairs),
+        })
+    return rows
+
+
+def trajectory_record(args, commit, rows, digests, failed):
+    """The --json-out document."""
+    return {
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "run_seconds": args.seconds,
+        "base_commit": commit,
+        "digests": digests,
+        "failed": failed,
+        "metrics": rows,
+    }
+
+
+def write_json(path, record):
+    with open(path, "w") as f:
+        json.dump(record, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def main(argv):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -167,6 +216,7 @@ def main(argv):
     log("base %s (%s) vs the working tree: %s seed %d, %d pairs of %gs"
         % (commit[:12], rev, args.workload, args.seed, args.pairs, args.seconds))
     samples = {"base": [], "change": []}
+    digests = []
     bad = False
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -178,6 +228,7 @@ def main(argv):
             log("pair %2d %-6s failed=%d %s %s" % (
                 i + 1, side, failed, digest.split(" (")[0],
                 " ".join("%s=%.6g" % kv for kv in sorted(values.items()))))
+        digests.append({side: digest_value(checks[side][1]) for side in checks})
         for problem in pair_problems(checks["base"], checks["change"]):
             log("pair %2d FAILED: %s" % (i + 1, problem))
             bad = True
@@ -187,18 +238,17 @@ def main(argv):
     print("%-16s %-34s %-34s %7s %6s  %s" % (
         "metric", "base median [Q1, Q3]", "change median [Q1, Q3]", "ratio", "wins",
         "verdict"))
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        base = [s[name] for s in samples["base"]]
-        change = [s[name] for s in samples["change"]]
-        lower = metric["better"] == "lower"
-        wins = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
-        bq, cq = quartiles(base), quartiles(change)
-        fmt = "%.4g [%.4g, %.4g]"
+    rows = summarize(spec, samples, args.pairs)
+    fmt = "%.4g [%.4g, %.4g]"
+    for row in rows:
+        b, c = row["base"], row["change"]
         print("%-16s %-34s %-34s %7.3f %3d/%-2d  %s" % (
-            name, fmt % (bq[1], bq[0], bq[2]), fmt % (cq[1], cq[0], cq[2]),
-            cq[1] / bq[1] if bq[1] else float("nan"), wins, args.pairs,
-            verdict(metric, base, change, wins, args.pairs)))
+            row["metric"], fmt % (b["median"], b["q1"], b["q3"]),
+            fmt % (c["median"], c["q1"], c["q3"]),
+            row["ratio"] if row["ratio"] is not None else float("nan"), row["wins"],
+            args.pairs, row["verdict"]))
+    if args.json_out:
+        write_json(args.json_out, trajectory_record(args, commit, rows, digests, bad))
     if bad:
         print("FAILED: a pair reported failed units or its digests disagree")
         return 1

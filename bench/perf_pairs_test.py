@@ -6,8 +6,10 @@
 Runs nothing but the pure functions; needs no build, git or benchmark run.
 """
 
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -102,6 +104,47 @@ class DigestTest(unittest.TestCase):
     def test_failed_units_fail(self):
         problems = perf_pairs.pair_problems((3, RECORDED), (0, RECORDED))
         self.assertEqual(problems, ["base reported 3 failed units"])
+
+
+class JsonOutTest(unittest.TestCase):
+    SPEC = {"end_to_end": [LOWER, HIGHER]}
+
+    def test_summary_rows_carry_quartiles_wins_and_verdict(self):
+        samples = {
+            "base": [{"ns_per_bit": b, "units_per_sec": b} for b in TIGHT_BASE],
+            "change": [{"ns_per_bit": b * 0.7, "units_per_sec": b * 0.7} for b in TIGHT_BASE],
+        }
+        rows = perf_pairs.summarize(self.SPEC, samples, len(TIGHT_BASE))
+        self.assertEqual([r["metric"] for r in rows], ["ns_per_bit", "units_per_sec"])
+        lower, higher = rows
+        q1, med, q3 = perf_pairs.quartiles(TIGHT_BASE)
+        self.assertEqual(lower["base"], {"median": med, "q1": q1, "q3": q3})
+        self.assertAlmostEqual(lower["change"]["median"], med * 0.7)
+        self.assertAlmostEqual(lower["ratio"], 0.7)
+        self.assertEqual(lower["wins"], 10)
+        self.assertEqual(lower["verdict"], "gain")
+        self.assertEqual(higher["wins"], 0)
+        self.assertEqual(higher["verdict"], "worse")
+
+    def test_written_file_round_trips(self):
+        class Args:
+            workload, seed, pairs, seconds = "adversary_search", 2, 10, 20
+        samples = {"base": [{"ns_per_bit": 1.0, "units_per_sec": 1.0}],
+                   "change": [{"ns_per_bit": 0.5, "units_per_sec": 2.0}]}
+        rows = perf_pairs.summarize(self.SPEC, samples, 1)
+        self.assertEqual(rows[0]["verdict"], "too few pairs")
+        digests = [{"base": "0703971b8187c8de", "change": "0703971b8187c8de"}]
+        record = perf_pairs.trajectory_record(Args, "abc123", rows, digests, False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.json")
+            perf_pairs.write_json(path, record)
+            with open(path) as f:
+                back = json.load(f)
+        self.assertEqual(back, record)
+        self.assertEqual(back["base_commit"], "abc123")
+        self.assertEqual(back["run_seconds"], 20)
+        self.assertEqual(back["digests"], digests)
+        self.assertEqual(back["metrics"][1]["ratio"], 2.0)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_set>
 
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
@@ -151,6 +150,76 @@ constexpr std::uint64_t kGenerationSize = 16;
   return h;
 }
 
+/// evaluate_genome's body. Fingerprints every event into `coverage` when it
+/// is non-null; callers that read only fitness pass nullptr and skip the
+/// observer. Neither sorts nor hashes: `fingerprints` and `coverage_hash`
+/// stay empty.
+[[nodiscard]] GenomeEval run_genome(const AdversaryCell& cell, std::uint64_t input_seed,
+                                    const ScheduleGenome& genome, std::uint64_t max_events,
+                                    FingerprintSet* coverage) {
+  cell.params.validate();
+  RSTP_CHECK_GE(cell.k, 2u, "adversary cell needs k >= 2");
+  RSTP_CHECK_GE(cell.input_bits, 1u, "adversary cell needs at least one input bit");
+
+  GenomeEval out;
+
+  protocols::ProtocolConfig config;
+  config.params = cell.params;
+  config.k = cell.k;
+  config.input = core::make_random_input(cell.input_bits, input_seed);
+  if (cell.protocol == ProtocolKind::Indexed) {
+    config.k = std::max<std::uint32_t>(
+        config.k,
+        static_cast<std::uint32_t>(2 * std::max<std::uint32_t>(1, cell.input_bits)));
+  }
+
+  protocols::ProtocolInstance instance;
+  try {
+    instance = protocols::make_protocol(cell.protocol, config);
+  } catch (const ContractViolation&) {
+    return out;  // cell outside the protocol's config domain
+  }
+
+  GenomeScheduler t_sched{genome.t_first, genome.t_gaps};
+  GenomeScheduler r_sched{genome.r_first, genome.r_gaps};
+  channel::Channel chan{cell.params.d, channel::make_synthesized(genome, cell.params)};
+
+  SimConfig sim_config;
+  sim_config.params = cell.params;
+  sim_config.max_events = max_events;
+  sim_config.record_trace = false;
+  if (coverage != nullptr) {
+    const protocols::TransmitterBase& t = *instance.transmitter;
+    const protocols::ReceiverBase& r = *instance.receiver;
+    sim_config.observer = [coverage, &t, &r](const ioa::TimedEvent& e) {
+      coverage->insert(event_fingerprint(e, t, r));
+    };
+  }
+
+  RunResult run;
+  try {
+    Simulator simulator{*instance.transmitter, *instance.receiver, chan, t_sched, r_sched,
+                        sim_config};
+    run = simulator.run();
+  } catch (const std::exception&) {
+    // A legal genome crashing a paper protocol is the fuzzer's department;
+    // here it simply scores as unfit.
+    return out;
+  }
+
+  out.valid = true;
+  out.correct = run.output == config.input;
+  out.quiescent = run.quiescent;
+  if (run.last_transmitter_send.has_value()) {
+    out.last_send = run.last_transmitter_send->ticks();
+    out.effort = static_cast<double>(out.last_send) / static_cast<double>(cell.input_bits);
+  }
+  out.end_time = run.end_time.ticks();
+  out.output_hash = hash_bits(run.output);
+  out.event_count = run.event_count;
+  return out;
+}
+
 /// Deterministic shrink of the winning genome: each simplification is kept
 /// only if the re-evaluated fitness stays >= the incumbent (never worse than
 /// hand-coded, since that was the floor). Bounded by O(Σ log |table|) reruns.
@@ -158,7 +227,7 @@ constexpr std::uint64_t kGenerationSize = 16;
                                              ScheduleGenome best, std::int64_t best_fitness,
                                              std::uint64_t max_events) {
   const auto at_least_as_fit = [&](const ScheduleGenome& g) {
-    const GenomeEval eval = evaluate_genome(cell, input_seed, g, max_events);
+    const GenomeEval eval = run_genome(cell, input_seed, g, max_events, nullptr);
     return eval.fit() && eval.last_send >= best_fitness;
   };
   const auto shrink_table = [&](auto ScheduleGenome::* table) {
@@ -208,68 +277,10 @@ channel::ScheduleGenome hand_equivalent_genome(const core::TimingParams& params)
 
 GenomeEval evaluate_genome(const AdversaryCell& cell, std::uint64_t input_seed,
                            const channel::ScheduleGenome& genome, std::uint64_t max_events) {
-  cell.params.validate();
-  RSTP_CHECK_GE(cell.k, 2u, "adversary cell needs k >= 2");
-  RSTP_CHECK_GE(cell.input_bits, 1u, "adversary cell needs at least one input bit");
-
-  GenomeEval out;
-
-  protocols::ProtocolConfig config;
-  config.params = cell.params;
-  config.k = cell.k;
-  config.input = core::make_random_input(cell.input_bits, input_seed);
-  if (cell.protocol == ProtocolKind::Indexed) {
-    config.k = std::max<std::uint32_t>(
-        config.k,
-        static_cast<std::uint32_t>(2 * std::max<std::uint32_t>(1, cell.input_bits)));
-  }
-
-  protocols::ProtocolInstance instance;
-  try {
-    instance = protocols::make_protocol(cell.protocol, config);
-  } catch (const ContractViolation&) {
-    return out;  // cell outside the protocol's config domain
-  }
-
-  GenomeScheduler t_sched{genome.t_first, genome.t_gaps};
-  GenomeScheduler r_sched{genome.r_first, genome.r_gaps};
-  channel::Channel chan{cell.params.d, channel::make_synthesized(genome, cell.params)};
-
-  std::unordered_set<std::uint64_t> seen;
-  const protocols::TransmitterBase& t = *instance.transmitter;
-  const protocols::ReceiverBase& r = *instance.receiver;
-
-  SimConfig sim_config;
-  sim_config.params = cell.params;
-  sim_config.max_events = max_events;
-  sim_config.record_trace = false;
-  sim_config.observer = [&](const ioa::TimedEvent& e) {
-    seen.insert(event_fingerprint(e, t, r));
-  };
-
-  RunResult run;
-  try {
-    Simulator simulator{*instance.transmitter, *instance.receiver, chan, t_sched, r_sched,
-                        sim_config};
-    run = simulator.run();
-  } catch (const std::exception&) {
-    // A legal genome crashing a paper protocol is the fuzzer's department;
-    // here it simply scores as unfit.
-    return out;
-  }
-
-  out.valid = true;
-  out.correct = run.output == config.input;
-  out.quiescent = run.quiescent;
-  if (run.last_transmitter_send.has_value()) {
-    out.last_send = run.last_transmitter_send->ticks();
-    out.effort = static_cast<double>(out.last_send) / static_cast<double>(cell.input_bits);
-  }
-  out.end_time = run.end_time.ticks();
-  out.output_hash = hash_bits(run.output);
-  out.event_count = run.event_count;
-  out.fingerprints.assign(seen.begin(), seen.end());
-  std::sort(out.fingerprints.begin(), out.fingerprints.end());
+  FingerprintSet seen;
+  GenomeEval out = run_genome(cell, input_seed, genome, max_events, &seen);
+  if (!out.valid) return GenomeEval{};
+  out.fingerprints = seen.sorted();
   out.coverage_hash = hash_sorted(out.fingerprints);
   return out;
 }
@@ -293,7 +304,7 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     cr.input_seed = input_seed;
     cr.lower_bound = cell_lower_bound(cell);
 
-    std::unordered_set<std::uint64_t> seen;
+    FingerprintSet seen;
     std::vector<ScheduleGenome> corpus;
     ScheduleGenome best_genome = hand_equivalent_genome(cell.params);
     GenomeEval best;  // unfit until the generation-0 fold
@@ -305,23 +316,30 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     if (round.size() > spec.budget) round.resize(static_cast<std::size_t>(spec.budget));
     std::uint64_t planned = round.size();
 
+    // One fingerprint set per slot, reused across generations. The fold
+    // asks only "any new fingerprint?", so nothing is sorted or hashed here;
+    // the winner's coverage_hash comes from the final evaluate_genome.
+    std::vector<FingerprintSet> slot_coverage;
     while (!round.empty()) {
+      if (slot_coverage.size() < round.size()) slot_coverage.resize(round.size());
       std::vector<GenomeEval> evals(round.size());
       parallel_for_slots(round.size(), spec.jobs, [&](std::size_t i) {
-        evals[i] = evaluate_genome(cell, input_seed, round[i], spec.max_events);
+        slot_coverage[i].clear();
+        evals[i] = run_genome(cell, input_seed, round[i], spec.max_events, &slot_coverage[i]);
       });
 
       // Serial fold in slot order: elite updates, coverage, and corpus
       // growth are independent of how workers interleaved. Generation 0
       // folds the hand genome first, so `best` starts at the hand floor.
+      // An invalid evaluation contributes no coverage (a run that threw may
+      // have left partial fingerprints in its slot).
       const std::size_t coverage_before = seen.size();
       for (std::size_t i = 0; i < round.size(); ++i) {
         ++cr.executed;
         const GenomeEval& eval = evals[i];
+        if (!eval.valid) continue;
         bool fresh = false;
-        for (const std::uint64_t fp : eval.fingerprints) {
-          if (seen.insert(fp).second) fresh = true;
-        }
+        slot_coverage[i].for_each([&](std::uint64_t fp) { fresh |= seen.insert(fp); });
         if (fresh) corpus.push_back(round[i]);
         if (eval.fit() && (!have_best || eval.last_send > best.last_send)) {
           best = eval;
@@ -360,8 +378,8 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     // beats_hand() = false rather than by a throw).
     cr.hand_last_send = 0;
     {
-      const GenomeEval hand =
-          evaluate_genome(cell, input_seed, hand_equivalent_genome(cell.params), spec.max_events);
+      const GenomeEval hand = run_genome(cell, input_seed, hand_equivalent_genome(cell.params),
+                                         spec.max_events, nullptr);
       cr.hand_last_send = hand.last_send;
       cr.hand_effort = hand.effort;
     }

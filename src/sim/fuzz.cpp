@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_set>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
@@ -249,7 +248,7 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, obs::trace::ModelRecorder* trace
   fault::SeededFaultInjector injector{c.fault_seed, c.rates, c.pins};
   if (c.faults_enabled) chan.set_fault_injector(&injector);
 
-  std::unordered_set<std::uint64_t> seen;
+  FingerprintSet seen;
   const protocols::TransmitterBase& t = *instance.transmitter;
   const protocols::ReceiverBase& r = *instance.receiver;
 
@@ -277,8 +276,7 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, obs::trace::ModelRecorder* trace
   // The channel outlives the simulator, so the fault log survives a crash —
   // that is what decides whether the crash is fail-stop or a bug.
   out.fault_events = chan.fault_log().size();
-  out.fingerprints.assign(seen.begin(), seen.end());
-  std::sort(out.fingerprints.begin(), out.fingerprints.end());
+  out.fingerprints = seen.sorted();
   out.coverage_hash = hash_sorted(out.fingerprints);
 
   if (!completed) {
@@ -317,7 +315,7 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
   RSTP_CHECK_GE(spec.max_input_bits, 1u, "fuzz needs at least one input bit");
 
   FuzzResult res;
-  std::unordered_set<std::uint64_t> seen;
+  FingerprintSet seen;
   constexpr std::size_t kMaxTrackedFailures = 8;
   constexpr std::uint64_t kGenerationSize = 32;
 
@@ -384,7 +382,7 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
       if (r.crashed) ++crashes;
       bool fresh = false;
       for (const std::uint64_t fp : r.fingerprints) {
-        if (seen.insert(fp).second) fresh = true;
+        if (seen.insert(fp)) fresh = true;
       }
       if (r.failed) {
         if (res.failures.size() < kMaxTrackedFailures) {
@@ -427,9 +425,7 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
   }
 
   res.coverage = seen.size();
-  std::vector<std::uint64_t> all(seen.begin(), seen.end());
-  std::sort(all.begin(), all.end());
-  res.coverage_hash = hash_sorted(all);
+  res.coverage_hash = hash_sorted(seen.sorted());
 
   for (FuzzFailure& failure : res.failures) {
     failure.minimized = minimize_failure(failure.original);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -50,6 +51,31 @@ std::uint64_t hash_sorted(const std::vector<std::uint64_t>& values) {
   std::uint64_t h = kFnvOffset;
   for (const std::uint64_t v : values) h = fnv_mix(h, v);
   return h;
+}
+
+void FingerprintSet::clear() {
+  std::fill(slots_.begin(), slots_.end(), std::uint64_t{0});
+  used_ = 0;
+  has_zero_ = false;
+}
+
+std::vector<std::uint64_t> FingerprintSet::sorted() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(size());
+  for_each([&](std::uint64_t v) { out.push_back(v); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void FingerprintSet::grow() {
+  constexpr std::size_t kMinSlots = 64;
+  std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(old.empty() ? kMinSlots : 2 * old.size(), 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  used_ = 0;
+  for (const std::uint64_t v : old) {
+    if (v != 0) insert(v);
+  }
 }
 
 void parallel_for_slots(std::size_t n, unsigned jobs,

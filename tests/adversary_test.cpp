@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "rstp/obs/diff.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/sim/adversary.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 namespace {
@@ -104,6 +106,57 @@ TEST(AdversarySearch, HandEquivalentGenomeReproducesWorstCaseEnvironment) {
     ASSERT_TRUE(run.result.last_transmitter_send.has_value());
     EXPECT_EQ(eval.last_send, run.result.last_transmitter_send->ticks());
     EXPECT_EQ(eval.end_time, run.result.end_time.ticks());
+  }
+}
+
+TEST(AdversarySearch, GoldenGridCoverageIsPinned) {
+  // The gap baseline records no coverage, so the fingerprint fold is pinned
+  // here: per cell the distinct fingerprints reached, the evaluations spent
+  // and the winner's coverage_hash, plus the whole-result identity. The
+  // literals were recorded from the std::unordered_set implementation that
+  // FingerprintSet replaced; any change to what is fingerprinted or folded
+  // shows up as a drift.
+  struct Pin {
+    std::size_t coverage;
+    std::uint64_t executed;
+    std::uint64_t best_coverage_hash;
+  };
+  static constexpr Pin kPins[] = {
+      {134, 48, 7522418170052159085ULL},   {131, 48, 5790761480197528706ULL},
+      {134, 48, 1993375514464932044ULL},   {135, 48, 1057054256752897591ULL},
+      {211, 48, 9374978063411745142ULL},   {200, 48, 2154013018794316050ULL},
+      {189, 48, 8442849898087866350ULL},   {230, 48, 4116023758630511795ULL},
+      {1296, 48, 1182802881826224626ULL},  {943, 48, 18299456183141213800ULL},
+      {1018, 48, 18344080412541279231ULL}, {899, 48, 1818657229410241963ULL},
+      {433, 48, 3056177811609714076ULL},   {448, 48, 473538273167186365ULL},
+      {430, 48, 5912486438832352300ULL},   {435, 48, 4296782308447800356ULL},
+  };
+  for (const unsigned jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    const AdversaryResult result = run_adversary_search(golden_spec(jobs));
+    EXPECT_EQ(result.result_hash, 1866621102075023988ULL);
+    ASSERT_EQ(result.cells.size(), std::size(kPins));
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(result.cells[i].coverage, kPins[i].coverage);
+      EXPECT_EQ(result.cells[i].executed, kPins[i].executed);
+      EXPECT_EQ(result.cells[i].best.coverage_hash, kPins[i].best_coverage_hash);
+    }
+  }
+}
+
+TEST(AdversarySearch, EvaluateGenomeFingerprintsAreSortedAndHashed) {
+  // GenomeEval's contract: fingerprints distinct and sorted, and
+  // coverage_hash the FNV fold of exactly that sequence.
+  for (const AdversaryCell& cell : quick_adversary_grid()) {
+    SCOPED_TRACE(std::string(protocols::to_string(cell.protocol)));
+    const GenomeEval eval = evaluate_genome(cell, 7, hand_equivalent_genome(cell.params));
+    ASSERT_TRUE(eval.fit());
+    ASSERT_FALSE(eval.fingerprints.empty());
+    EXPECT_TRUE(std::adjacent_find(eval.fingerprints.begin(), eval.fingerprints.end(),
+                                   [](std::uint64_t a, std::uint64_t b) { return a >= b; }) ==
+                eval.fingerprints.end());
+    EXPECT_EQ(eval.coverage_hash, hash_sorted(eval.fingerprints));
   }
 }
 

@@ -294,6 +294,31 @@ TEST(Cli, DashboardDegradesToPlainLinesWhenPiped) {
   EXPECT_EQ(out.find("fuzz: gen "), std::string::npos) << out;
 }
 
+TEST(Cli, SearchVerbsNameAValueFlagGivenLast) {
+  // A value flag with nothing after it is a missing value, not an unknown
+  // option, and the flag is not read as its own bad value.
+  std::string out;
+  EXPECT_EQ(run_command("adversary --grid", &out), 2);
+  EXPECT_NE(out.find("missing value for --grid"), std::string::npos) << out;
+  EXPECT_EQ(run_command("adversary --seed", &out), 2);
+  EXPECT_NE(out.find("missing value for --seed"), std::string::npos) << out;
+  EXPECT_EQ(out.find("invalid --seed"), std::string::npos) << out;
+  EXPECT_EQ(run_command("fuzz alpha --corpus", &out), 2);
+  EXPECT_NE(out.find("missing value for --corpus"), std::string::npos) << out;
+  EXPECT_EQ(run_command("fuzz alpha --budget", &out), 2);
+  EXPECT_NE(out.find("missing value for --budget"), std::string::npos) << out;
+}
+
+TEST(Cli, SearchVerbsRejectAZeroBudget) {
+  std::string out;
+  EXPECT_EQ(run_command("adversary --budget 0", &out), 2);
+  EXPECT_NE(out.find("invalid --budget '0': must be at least 1"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  EXPECT_EQ(run_command("fuzz beta --budget 0", &out), 2);
+  EXPECT_NE(out.find("invalid --budget '0': must be at least 1"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
 TEST(Cli, ReportRejectsNonFiniteGateLimits) {
   const std::string jsonl = ::testing::TempDir() + "/cli_diff_nan.jsonl";
   std::remove(jsonl.c_str());

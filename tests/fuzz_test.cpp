@@ -369,6 +369,25 @@ TEST(RunFuzz, BitwiseDeterministicAcrossRunsAndJobs) {
   }
 }
 
+TEST(RunFuzz, CampaignCoverageIsPinned) {
+  // Recorded from the std::unordered_set implementation that FingerprintSet
+  // replaced: the campaign's distinct fingerprints, their hash, the corpus
+  // and the executions must not move at any worker count.
+  sim::FuzzSpec spec;
+  spec.protocol = protocols::ProtocolKind::Beta;
+  spec.seed = 1;
+  spec.budget = 64;
+  for (const unsigned jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    spec.jobs = jobs;
+    const sim::FuzzResult result = sim::run_fuzz(spec);
+    EXPECT_EQ(result.coverage, 2167u);
+    EXPECT_EQ(result.coverage_hash, 8331969785973853385ULL);
+    EXPECT_EQ(result.corpus.size(), 60u);
+    EXPECT_EQ(result.executed, 64u);
+  }
+}
+
 TEST(RunFuzz, CorpusSeedsAreExecutedFirst) {
   sim::FuzzCase seed_case;
   seed_case.protocol = protocols::ProtocolKind::Beta;

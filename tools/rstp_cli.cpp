@@ -114,6 +114,7 @@
 #include <filesystem>
 #include <iomanip>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -187,6 +188,24 @@ template <typename T>
 /// argument, echo the offending token, exit 2.
 int bad_number(std::string_view what, std::string_view token) {
   std::cerr << "invalid " << what << " '" << token << "': expected a decimal integer\n";
+  return 2;
+}
+
+/// Reports a value flag given as the last argument, exit 2.
+int missing_value(std::string_view flag) {
+  std::cerr << "missing value for " << flag << "\n";
+  return 2;
+}
+
+/// True when `arg` is one of a verb's value-taking flags.
+[[nodiscard]] bool is_value_flag(std::string_view arg,
+                                 std::initializer_list<std::string_view> flags) {
+  return std::find(flags.begin(), flags.end(), arg) != flags.end();
+}
+
+/// Reports a `--budget` below 1 (the search engines need one evaluation).
+int bad_budget(std::string_view token) {
+  std::cerr << "invalid --budget '" << token << "': must be at least 1\n";
   return 2;
 }
 
@@ -929,6 +948,12 @@ int cmd_fuzz(int argc, char** argv) {
   bool want_dashboard = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (i + 1 >= argc &&
+        is_value_flag(arg, {"--seed", "--budget", "--jobs", "--k", "--bits", "--max-events",
+                            "--time-budget-ms", "--wait-override", "--block-override",
+                            "--corpus", "--repro-out", "--metrics-out"})) {
+      return missing_value(arg);
+    }
     const auto take_number = [&](auto& slot) {
       if (i + 1 >= argc) return false;
       const auto parsed =
@@ -941,6 +966,7 @@ int cmd_fuzz(int argc, char** argv) {
       if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
     } else if (arg == "--budget") {
       if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
+      if (spec.budget == 0) return bad_budget(argv[i]);
     } else if (arg == "--jobs") {
       if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
     } else if (arg == "--k") {
@@ -1063,6 +1089,10 @@ int cmd_adversary(int argc, char** argv) {
   std::string metrics_file;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (i + 1 >= argc && is_value_flag(arg, {"--seed", "--budget", "--jobs", "--max-events",
+                                             "--grid", "--repro-out", "--metrics-out"})) {
+      return missing_value(arg);
+    }
     const auto take_number = [&](auto& slot) {
       if (i + 1 >= argc) return false;
       const auto parsed =
@@ -1075,6 +1105,7 @@ int cmd_adversary(int argc, char** argv) {
       if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
     } else if (arg == "--budget") {
       if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
+      if (spec.budget == 0) return bad_budget(argv[i]);
     } else if (arg == "--jobs") {
       if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
     } else if (arg == "--max-events") {
