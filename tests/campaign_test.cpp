@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "rstp/common/check.h"
-#include "rstp/sim/campaign_bench.h"
 #include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
@@ -29,6 +28,21 @@ CampaignSpec small_spec() {
   spec.seeds_per_cell = 2;
   spec.input_bits = 16;
   spec.campaign_seed = 42;
+  return spec;
+}
+
+/// A 64-job grid (4 protocols × 2 timings × 2 alphabets × 2 environments ×
+/// 2 seeds): large enough that the thread pool has real work to steal.
+CampaignSpec reference_campaign_spec() {
+  CampaignSpec spec;
+  spec.protocols = {ProtocolKind::Alpha, ProtocolKind::Beta, ProtocolKind::Gamma,
+                    ProtocolKind::AltBit};
+  spec.timings = {core::TimingParams::make(1, 1, 4), core::TimingParams::make(1, 2, 8)};
+  spec.alphabets = {4, 16};
+  spec.environments = {core::Environment::worst_case(), core::Environment::randomized(1)};
+  spec.seeds_per_cell = 2;
+  spec.input_bits = 256;
+  spec.campaign_seed = 0xCA3BA167;
   return spec;
 }
 
@@ -90,6 +104,7 @@ TEST(Campaign, FourThreadResultIsBitwiseIdenticalToSerial) {
   const Campaign campaign{reference_campaign_spec()};
   ASSERT_EQ(campaign.job_count(), 64u);
   const CampaignResult serial = campaign.run(1);
+  EXPECT_EQ(serial.incorrect, 0u);
   const CampaignResult parallel = campaign.run(4);
   EXPECT_TRUE(serial == parallel);
   const CampaignResult two = campaign.run(2);

@@ -25,12 +25,6 @@
 //       Exhaustively verify all schedules (c1=c2=1) for a small instance;
 //       prints a counterexample trace on failure.
 //
-//   rstp bench [--json PATH] [--threads N]... [--metrics-out FILE]
-//       Run the reference simulation campaign at several thread counts,
-//       verify bitwise determinism, time the codec hot paths, and write the
-//       perf baseline JSON (schema in docs/PERF.md). Campaign progress lines
-//       go to stderr; --metrics-out appends one JSONL row per job.
-//
 //   rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]
 //       Run the fixed golden campaign grid (the regression-gate reference;
 //       bitwise deterministic for any thread count) and append one JSONL row
@@ -135,7 +129,7 @@
 #include "rstp/obs/trace.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/sim/adversary.h"
-#include "rstp/sim/campaign_bench.h"
+#include "rstp/sim/campaign.h"
 #include "rstp/sim/multi_session.h"
 #include "rstp/sim/fuzz.h"
 
@@ -153,7 +147,6 @@ int usage() {
                " [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp verify  <c1> <c2> <d> <tracefile> <bits>\n"
                "  rstp explore <protocol> <d> <k> <bits>\n"
-               "  rstp bench   [--json PATH] [--threads N]... [--metrics-out FILE]\n"
                "  rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]"
                " [--no-dashboard] [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp mega    [--sessions N] [--shards N] [--threads N]"
@@ -194,6 +187,12 @@ int bad_number(std::string_view what, std::string_view token) {
 /// Reports a value flag given as the last argument, exit 2.
 int missing_value(std::string_view flag) {
   std::cerr << "missing value for " << flag << "\n";
+  return 2;
+}
+
+/// Reports a flag the verb does not take, exit 2.
+int unknown_option(std::string_view arg) {
+  std::cerr << "unknown option '" << arg << "'\n";
   return 2;
 }
 
@@ -305,7 +304,11 @@ int cmd_run(int argc, char** argv) {
   core::DriftSpec drift;
   for (int i = 8; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--env" && i + 1 < argc) {
+    if (i + 1 >= argc && is_value_flag(arg, {"--env", "--seed", "--trace", "--trace-out",
+                                             "--metrics-out", "--drift"})) {
+      return missing_value(arg);
+    }
+    if (arg == "--env") {
       const std::string name = argv[++i];
       if (name == "worst") {
         env = core::Environment::worst_case();
@@ -321,20 +324,20 @@ int cmd_run(int argc, char** argv) {
         std::cerr << "unknown environment '" << name << "'\n";
         return 2;
       }
-    } else if (arg == "--seed" && i + 1 < argc) {
+    } else if (arg == "--seed") {
       const auto parsed = parse_number<std::uint64_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--seed", argv[i]);
       seed = *parsed;
       env.seed = seed;
-    } else if (arg == "--trace" && i + 1 < argc) {
+    } else if (arg == "--trace") {
       trace_file = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
+    } else if (arg == "--trace-out") {
       trace_out_file = argv[++i];
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
     } else if (arg == "--stats") {
       want_stats = true;
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
+    } else if (arg == "--metrics-out") {
       metrics_file = argv[++i];
     } else if (arg == "--timing") {
       want_timing = true;
@@ -345,7 +348,7 @@ int cmd_run(int argc, char** argv) {
       if (!margin.has_value()) return 2;
       want_estimator = true;
       est_margin = *margin;
-    } else if (arg == "--drift" && i + 1 < argc) {
+    } else if (arg == "--drift") {
       const auto parsed = parse_drift(argv[++i]);
       if (!parsed.has_value()) return 2;
       drift = *parsed;
@@ -354,8 +357,7 @@ int cmd_run(int argc, char** argv) {
       if (!parsed.has_value()) return 2;
       drift = *parsed;
     } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
+      return unknown_option(arg);
     }
   }
   if (want_estimator && *kind != ProtocolKind::Beta && *kind != ProtocolKind::Gamma) {
@@ -563,53 +565,6 @@ int cmd_explore(int argc, char** argv) {
   return result.verified() ? 0 : 1;
 }
 
-int cmd_bench(int argc, char** argv) {
-  std::string json_path = "BENCH_campaign.json";
-  std::string metrics_file;
-  sim::CampaignBenchOptions options;
-  std::vector<unsigned> threads;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads.push_back(*parsed);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (!threads.empty()) options.thread_counts = threads;
-  // Progress goes to stderr so the stdout summary (and anything grepping it)
-  // stays stable; the bench module attaches it to the untimed warmup run.
-  options.progress.out = &std::cerr;
-  options.progress.interval = std::chrono::milliseconds{500};
-
-  const sim::CampaignBenchReport report = sim::run_campaign_bench(options);
-  sim::print_campaign_bench(std::cout, report);
-  if (!metrics_file.empty()) {
-    const std::vector<obs::RunMetricsRecord> records = sim::campaign_metrics_records(
-        report.serial_result, sim::reference_campaign_spec().input_bits);
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
-    std::cout << "metrics:    appended " << records.size() << " jobs to " << metrics_file
-              << "\n";
-  }
-  std::ofstream out{json_path};
-  if (!out) {
-    std::cerr << "cannot open '" << json_path << "'\n";
-    return 1;
-  }
-  sim::write_campaign_bench_json(out, report);
-  std::cout << "baseline:   written to " << json_path << "\n";
-  return report.ok() ? 0 : 1;
-}
-
 /// How `--dashboard` resolves against the terminal: live ANSI frames only on
 /// a real TTY with NO_COLOR unset; otherwise the one-line fallback, which
 /// never emits escape bytes (CI pipes it and greps for exactly that).
@@ -674,9 +629,12 @@ int cmd_campaign(int argc, char** argv) {
   std::optional<core::DriftSpec> drift_override;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--metrics-out" && i + 1 < argc) {
+    if (i + 1 >= argc && is_value_flag(arg, {"--metrics-out", "--threads", "--drift"})) {
+      return missing_value(arg);
+    }
+    if (arg == "--metrics-out") {
       metrics_file = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
+    } else if (arg == "--threads") {
       const auto parsed = parse_number<unsigned>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--threads", argv[i]);
       threads = *parsed;
@@ -691,7 +649,7 @@ int cmd_campaign(int argc, char** argv) {
       if (!margin.has_value()) return 2;
       want_estimator = true;
       margin_override = *margin;
-    } else if (arg == "--drift" && i + 1 < argc) {
+    } else if (arg == "--drift") {
       const auto parsed = parse_drift(argv[++i]);
       if (!parsed.has_value()) return 2;
       drift_override = *parsed;
@@ -700,7 +658,7 @@ int cmd_campaign(int argc, char** argv) {
       if (!parsed.has_value()) return 2;
       drift_override = *parsed;
     } else {
-      return usage();
+      return unknown_option(arg);
     }
   }
   // Bare --estimator runs the pinned estimator grid (margin 0, its own drift
@@ -757,45 +715,50 @@ int cmd_mega(int argc, char** argv) {
   std::string metrics_file;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--sessions" && i + 1 < argc) {
+    if (i + 1 >= argc &&
+        is_value_flag(arg, {"--sessions", "--shards", "--threads", "--protocol", "--k",
+                            "--bits", "--seed", "--max-events", "--metrics-out"})) {
+      return missing_value(arg);
+    }
+    if (arg == "--sessions") {
       const auto parsed = parse_number<std::uint64_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--sessions", argv[i]);
       spec.sessions = *parsed;
-    } else if (arg == "--shards" && i + 1 < argc) {
+    } else if (arg == "--shards") {
       const auto parsed = parse_number<std::uint32_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--shards", argv[i]);
       spec.shards = *parsed;
-    } else if (arg == "--threads" && i + 1 < argc) {
+    } else if (arg == "--threads") {
       const auto parsed = parse_number<unsigned>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--threads", argv[i]);
       threads = *parsed;
-    } else if (arg == "--protocol" && i + 1 < argc) {
+    } else if (arg == "--protocol") {
       const auto kind = protocols::protocol_from_string(argv[++i]);
       if (!kind.has_value()) {
         std::cerr << "unknown protocol '" << argv[i] << "'\n";
         return 2;
       }
       spec.protocol = *kind;
-    } else if (arg == "--k" && i + 1 < argc) {
+    } else if (arg == "--k") {
       const auto parsed = parse_number<std::uint32_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--k", argv[i]);
       spec.k = *parsed;
-    } else if (arg == "--bits" && i + 1 < argc) {
+    } else if (arg == "--bits") {
       const auto parsed = parse_number<std::uint32_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--bits", argv[i]);
       spec.input_bits = *parsed;
-    } else if (arg == "--seed" && i + 1 < argc) {
+    } else if (arg == "--seed") {
       const auto parsed = parse_number<std::uint64_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--seed", argv[i]);
       spec.base_seed = *parsed;
-    } else if (arg == "--max-events" && i + 1 < argc) {
+    } else if (arg == "--max-events") {
       const auto parsed = parse_number<std::uint64_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--max-events", argv[i]);
       spec.max_events_per_session = *parsed;
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
+    } else if (arg == "--metrics-out") {
       metrics_file = argv[++i];
     } else {
-      return usage();
+      return unknown_option(arg);
     }
   }
   const sim::MultiSession mega{spec};
@@ -886,13 +849,13 @@ int cmd_report(int argc, char** argv) {
   std::string fail_on;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--fail-on" && i + 1 >= argc) return missing_value(arg);
     if (arg == "--json") {
       want_json = true;
-    } else if (arg == "--fail-on" && i + 1 < argc) {
+    } else if (arg == "--fail-on") {
       fail_on = argv[++i];
     } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
+      return unknown_option(arg);
     } else {
       files.push_back(arg);
     }
@@ -955,7 +918,6 @@ int cmd_fuzz(int argc, char** argv) {
       return missing_value(arg);
     }
     const auto take_number = [&](auto& slot) {
-      if (i + 1 >= argc) return false;
       const auto parsed =
           parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
       if (!parsed.has_value()) return false;
@@ -989,15 +951,14 @@ int cmd_fuzz(int argc, char** argv) {
       want_dashboard = true;
     } else if (arg == "--no-dashboard") {
       want_dashboard = false;
-    } else if (arg == "--corpus" && i + 1 < argc) {
+    } else if (arg == "--corpus") {
       corpus_dir = argv[++i];
-    } else if (arg == "--repro-out" && i + 1 < argc) {
+    } else if (arg == "--repro-out") {
       repro_file = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
+    } else if (arg == "--metrics-out") {
       metrics_file = argv[++i];
     } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
+      return unknown_option(arg);
     }
   }
 
@@ -1094,7 +1055,6 @@ int cmd_adversary(int argc, char** argv) {
       return missing_value(arg);
     }
     const auto take_number = [&](auto& slot) {
-      if (i + 1 >= argc) return false;
       const auto parsed =
           parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
       if (!parsed.has_value()) return false;
@@ -1110,7 +1070,7 @@ int cmd_adversary(int argc, char** argv) {
       if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
     } else if (arg == "--max-events") {
       if (!take_number(spec.max_events)) return bad_number("--max-events", argv[i]);
-    } else if (arg == "--grid" && i + 1 < argc) {
+    } else if (arg == "--grid") {
       const std::string grid = argv[++i];
       if (grid == "golden") {
         spec.grid = sim::golden_adversary_grid();
@@ -1120,13 +1080,12 @@ int cmd_adversary(int argc, char** argv) {
         std::cerr << "unknown grid '" << grid << "' (want golden or quick)\n";
         return 2;
       }
-    } else if (arg == "--repro-out" && i + 1 < argc) {
+    } else if (arg == "--repro-out") {
       repro_file = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
+    } else if (arg == "--metrics-out") {
       metrics_file = argv[++i];
     } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
+      return unknown_option(arg);
     }
   }
 
@@ -1188,7 +1147,7 @@ int cmd_adversary(int argc, char** argv) {
 
 /// Replays an rstp-adversary-v1 artifact (cmd_replay dispatches here after
 /// sniffing the header line).
-int replay_adversary_file(std::ifstream& in, const std::string& path) {
+int replay_adversary_file(std::ifstream& in) {
   const sim::AdversaryRepro repro = sim::parse_adversary_repro(in);
   const sim::AdversaryReplayOutcome outcome = sim::replay_adversary_repro(repro);
   std::cout << "case:       " << protocols::to_string(repro.cell.protocol) << " "
@@ -1203,7 +1162,6 @@ int replay_adversary_file(std::ifstream& in, const std::string& path) {
     return 0;
   }
   std::cout << "reproduced: NO — " << outcome.mismatch << "\n";
-  (void)path;
   return 1;
 }
 
@@ -1228,7 +1186,8 @@ int cmd_replay(int argc, char** argv) {
   std::string trace_out_file;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
+    if (arg == "--trace-out" && i + 1 >= argc) return missing_value(arg);
+    if (arg == "--trace-out") {
       trace_out_file = argv[++i];
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
@@ -1237,8 +1196,7 @@ int cmd_replay(int argc, char** argv) {
                    " constants\n";
       return 2;
     } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
+      return unknown_option(arg);
     }
   }
   std::ifstream in{argv[2]};
@@ -1251,7 +1209,7 @@ int cmd_replay(int argc, char** argv) {
       std::cerr << "--trace-out is not supported for adversary artifacts\n";
       return 2;
     }
-    return replay_adversary_file(in, argv[2]);
+    return replay_adversary_file(in);
   }
   const sim::FuzzRepro repro = sim::parse_fuzz_repro(in);
   std::optional<obs::trace::Tracer> tracer;
@@ -1301,7 +1259,6 @@ int main(int argc, char** argv) {
     if (command == "run") return cmd_run(argc, argv);
     if (command == "verify") return cmd_verify(argc, argv);
     if (command == "explore") return cmd_explore(argc, argv);
-    if (command == "bench") return cmd_bench(argc, argv);
     if (command == "campaign") return cmd_campaign(argc, argv);
     if (command == "mega") return cmd_mega(argc, argv);
     if (command == "report") return cmd_report(argc, argv);
