@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -309,6 +310,74 @@ TEST(Cli, SearchVerbsRejectAZeroBudget) {
   EXPECT_EQ(run_command("fuzz beta --budget 0", &out), 2);
   EXPECT_NE(out.find("invalid --budget '0': must be at least 1"), std::string::npos) << out;
   EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  // Every other count is checked the same way, before any work starts.
+  const std::pair<std::string, std::string> counts[] = {
+      {"adversary --max-events 0", "--max-events"}, {"fuzz beta --max-events 0", "--max-events"},
+      {"mega --max-events 0", "--max-events"},      {"mega --sessions 0", "--sessions"},
+      {"mega --shards 0", "--shards"}};
+  for (const auto& [args, flag] : counts) {
+    EXPECT_EQ(run_command(args, &out), 2) << args;
+    EXPECT_NE(out.find("invalid " + flag + " '0': must be at least 1"), std::string::npos) << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+}
+
+TEST(Cli, WorkerCountsAboveTheCapAreRejected) {
+  // Each worker is an OS thread, so --threads/--jobs stop at 256. Only the
+  // rejection is exercised: every command here would start few threads even
+  // if it got past the parser (workers never exceed shards or batch slots).
+  std::string out;
+  EXPECT_EQ(run_command("mega --threads 100000", &out), 2);
+  EXPECT_NE(out.find("invalid --threads '100000': must be at most 256"), std::string::npos)
+      << out;
+  EXPECT_EQ(run_command("fuzz beta --jobs 100000", &out), 2);
+  EXPECT_NE(out.find("invalid --jobs '100000': must be at most 256"), std::string::npos) << out;
+  EXPECT_EQ(run_command("adversary --grid quick --budget 8 --jobs 257", &out), 2);
+  EXPECT_NE(out.find("invalid --jobs '257': must be at most 256"), std::string::npos) << out;
+  EXPECT_EQ(run_command("campaign --threads 257", &out), 2);
+  EXPECT_NE(out.find("invalid --threads '257': must be at most 256"), std::string::npos) << out;
+}
+
+TEST(Cli, EqualsFormMatchesSpaceForm) {
+  const auto result_hash = [](const std::string& text) {
+    const std::size_t at = text.find("(result hash ");
+    return at == std::string::npos ? std::string{} : text.substr(at, text.find(')', at) - at);
+  };
+  std::string spaced;
+  std::string joined;
+  ASSERT_EQ(run_command("adversary --grid quick --budget 8 --seed 3", &spaced), 0) << spaced;
+  ASSERT_EQ(run_command("adversary --grid=quick --budget=8 --seed=3", &joined), 0) << joined;
+  EXPECT_FALSE(result_hash(spaced).empty()) << spaced;
+  EXPECT_EQ(result_hash(joined), result_hash(spaced)) << joined;
+
+  std::string out;
+  EXPECT_EQ(run_command("run beta 1 2 8 8 64 --seed=", &out), 2);
+  EXPECT_NE(out.find("invalid --seed ''"), std::string::npos) << out;
+  EXPECT_EQ(run_command("fuzz beta --faults=1", &out), 2);
+  EXPECT_NE(out.find("--faults"), std::string::npos) << out;
+}
+
+TEST(Cli, RunSeedDoesNotDependOnFlagOrder) {
+  // --env used to rebuild the environment with seed 1, so `--seed 7 --env
+  // worst` recorded seed 1 while drawing the input from seed 7.
+  const std::string before = ::testing::TempDir() + "/cli_seed_before.jsonl";
+  const std::string after = ::testing::TempDir() + "/cli_seed_after.jsonl";
+  std::remove(before.c_str());
+  std::remove(after.c_str());
+  std::string out;
+  ASSERT_EQ(run_command("run alpha 1 2 6 2 64 --seed 7 --env worst --metrics-out " + before,
+                        &out),
+            0)
+      << out;
+  ASSERT_EQ(run_command("run alpha 1 2 6 2 64 --env worst --seed 7 --metrics-out " + after,
+                        &out),
+            0)
+      << out;
+  const std::string record = read_file(after);
+  EXPECT_NE(record.find("\"seed\":7"), std::string::npos) << record;
+  EXPECT_EQ(read_file(before), record);
+  std::remove(before.c_str());
+  std::remove(after.c_str());
 }
 
 TEST(Cli, ReportRejectsNonFiniteGateLimits) {

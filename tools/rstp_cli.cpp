@@ -108,11 +108,14 @@
 #include <filesystem>
 #include <iomanip>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "rstp/core/bounds.h"
@@ -177,81 +180,213 @@ template <typename T>
   return value;
 }
 
-/// Reports a bad numeric token the way usage errors are reported: name the
-/// argument, echo the offending token, exit 2.
-int bad_number(std::string_view what, std::string_view token) {
-  std::cerr << "invalid " << what << " '" << token << "': expected a decimal integer\n";
-  return 2;
+/// Names a bad argument and its token: every "invalid" usage error goes
+/// through here. Always false, so a flag's setter can return it.
+bool invalid(std::string_view what, std::string_view token, std::string_view why) {
+  std::cerr << "invalid " << what << " '" << token << "': " << why << "\n";
+  return false;
 }
 
-/// Reports a value flag given as the last argument, exit 2.
-int missing_value(std::string_view flag) {
-  std::cerr << "missing value for " << flag << "\n";
-  return 2;
-}
-
-/// Reports a flag the verb does not take, exit 2.
-int unknown_option(std::string_view arg) {
-  std::cerr << "unknown option '" << arg << "'\n";
-  return 2;
-}
-
-/// True when `arg` is one of a verb's value-taking flags.
-[[nodiscard]] bool is_value_flag(std::string_view arg,
-                                 std::initializer_list<std::string_view> flags) {
-  return std::find(flags.begin(), flags.end(), arg) != flags.end();
-}
-
-/// Reports a `--budget` below 1 (the search engines need one evaluation).
-int bad_budget(std::string_view token) {
-  std::cerr << "invalid --budget '" << token << "': must be at least 1\n";
-  return 2;
-}
-
-/// Parses an `--estimator=margin` value. Empty optional (after the error
-/// message naming the token) on a non-numeric or out-of-range margin.
-[[nodiscard]] std::optional<double> parse_margin(std::string_view token) {
-  const auto parsed = parse_number<double>(token);
-  if (!parsed.has_value() || !(*parsed >= 0.0 && *parsed < 1.0)) {
-    std::cerr << "invalid --estimator margin '" << token << "': expected a number in [0, 1)\n";
-    return std::nullopt;
-  }
+/// A positional number; std::nullopt after naming a bad token.
+template <typename T>
+[[nodiscard]] std::optional<T> number_arg(std::string_view what, std::string_view token) {
+  const auto parsed = parse_number<T>(token);
+  if (!parsed.has_value()) invalid(what, token, "expected a decimal integer");
   return parsed;
 }
 
-/// Parses a `--drift` spec, turning a DriftParseError into the usual exit-2
-/// style report naming the offending token.
-[[nodiscard]] std::optional<core::DriftSpec> parse_drift(const std::string& token) {
-  try {
-    return core::DriftSpec::parse(token);
-  } catch (const core::DriftParseError& e) {
-    std::cerr << "bad --drift segment '" << e.token() << "': " << e.what() << "\n";
+/// The positional (c1, c2, d) triple at argv[first..first+2]; std::nullopt
+/// after naming the first bad token.
+[[nodiscard]] std::optional<core::TimingParams> timing_args(char** argv, int first) {
+  const auto c1 = number_arg<std::int64_t>("c1", argv[first]);
+  const auto c2 = c1.has_value() ? number_arg<std::int64_t>("c2", argv[first + 1]) : std::nullopt;
+  const auto d = c2.has_value() ? number_arg<std::int64_t>("d", argv[first + 2]) : std::nullopt;
+  if (!d.has_value()) return std::nullopt;
+  return core::TimingParams::make(*c1, *c2, *d);
+}
+
+/// A protocol name; std::nullopt after naming an unknown one.
+[[nodiscard]] std::optional<ProtocolKind> protocol_arg(std::string_view name) {
+  const auto kind = protocols::protocol_from_string(name);
+  if (!kind.has_value()) std::cerr << "unknown protocol '" << name << "'\n";
+  return kind;
+}
+
+/// One entry of a verb's flag table. A flag that takes a value accepts both
+/// `--flag value` and `--flag=value`; an optional value takes only the `=`
+/// form. `set` stores the value (std::nullopt when none was given) and
+/// returns false once it has named a bad token.
+struct Flag {
+  enum class Takes { Nothing, Value, OptionalValue };
+  std::string_view name;
+  Takes takes;
+  std::function<bool(std::optional<std::string_view>)> set;
+};
+
+/// Upper bound on --threads/--jobs: each worker is an OS thread, and results
+/// are bitwise identical for any worker count.
+constexpr unsigned kMaxThreads = 256;
+
+Flag switch_flag(std::string_view name, bool& slot, bool value = true) {
+  return {name, Flag::Takes::Nothing, [&slot, value](auto) { slot = value; return true; }};
+}
+
+Flag string_flag(std::string_view name, std::string& slot) {
+  return {name, Flag::Takes::Value, [&slot](auto value) { slot = *value; return true; }};
+}
+
+/// A decimal integer in [min, max].
+template <typename T>
+Flag number_flag(std::string_view name, T& slot, std::type_identity_t<T> min = 0,
+                 std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  const auto set = [name, &slot, min, max](std::optional<std::string_view> value) {
+    const auto parsed = parse_number<T>(*value);
+    if (!parsed.has_value()) return invalid(name, *value, "expected a decimal integer");
+    if (*parsed < min) return invalid(name, *value, "must be at least " + std::to_string(min));
+    if (*parsed > max) return invalid(name, *value, "must be at most " + std::to_string(max));
+    slot = *parsed;
+    return true;
+  };
+  return {name, Flag::Takes::Value, set};
+}
+
+/// One name from a fixed list.
+Flag choice_flag(std::string_view name, std::string_view& slot,
+                 std::vector<std::string_view> choices) {
+  return {name, Flag::Takes::Value, [name, &slot, choices = std::move(choices)](auto value) {
+            if (std::find(choices.begin(), choices.end(), *value) != choices.end()) {
+              slot = *value;
+              return true;
+            }
+            std::string expected = "expected ";
+            for (const std::string_view choice : choices) (expected += choice) += '|';
+            expected.pop_back();
+            return invalid(name, *value, expected);
+          }};
+}
+
+/// `--estimator[=margin]`, the one flag whose value is optional: bare, it
+/// turns the estimator on; with a value, it also sets a margin in [0, 1).
+Flag estimator_flag(bool& on, std::optional<double>& margin) {
+  return {"--estimator", Flag::Takes::OptionalValue, [&on, &margin](auto value) {
+            on = true;
+            if (!value.has_value()) return true;
+            margin = parse_number<double>(*value);
+            if (margin.has_value() && *margin >= 0.0 && *margin < 1.0) return true;
+            return invalid("--estimator margin", *value, "expected a number in [0, 1)");
+          }};
+}
+
+/// `--drift SPEC`; a DriftParseError names the offending segment. A parsed
+/// spec is never empty, so an empty slot means the flag was not given.
+Flag drift_flag(core::DriftSpec& slot) {
+  return {"--drift", Flag::Takes::Value, [&slot](auto value) {
+            try {
+              slot = core::DriftSpec::parse(*value);
+              return true;
+            } catch (const core::DriftParseError& e) {
+              std::cerr << "bad --drift segment '" << e.token() << "': " << e.what() << "\n";
+              return false;
+            }
+          }};
+}
+
+/// Reads argv[first..argc) against a verb's flag table: the one place any
+/// verb reads a flag. False once the bad token is named (a usage error, exit
+/// 2). A verb that takes positional arguments passes `positional`; they are
+/// the arguments that name no flag and do not start with '-'.
+bool parse_flags(int argc, char** argv, int first, std::initializer_list<Flag> table,
+                std::vector<std::string>* positional = nullptr) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const Flag* flag = std::find_if(table.begin(), table.end(),
+                                    [name](const Flag& f) { return f.name == name; });
+    if (flag == table.end()) {
+      if (positional == nullptr || arg.starts_with('-')) {
+        std::cerr << "unknown option '" << arg << "'\n";
+        return false;
+      }
+      positional->emplace_back(arg);
+      continue;
+    }
+    std::optional<std::string_view> value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+      if (flag->takes == Flag::Takes::Nothing) return invalid(name, *value, "takes no value");
+    } else if (flag->takes == Flag::Takes::Value) {
+      if (i + 1 >= argc) {
+        std::cerr << "missing value for " << name << "\n";
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (!flag->set(value)) return false;
+  }
+  return true;
+}
+
+/// The `--env` presets, built after every flag is read so that the order of
+/// `--env` and `--seed` does not matter.
+[[nodiscard]] core::Environment make_environment(std::string_view name, std::uint64_t seed) {
+  core::Environment env = core::Environment::worst_case();
+  if (name == "fast") {
+    env.transmitter_sched = core::Environment::Sched::FastFixed;
+    env.receiver_sched = core::Environment::Sched::FastFixed;
+    env.delay = core::Environment::Delay::Zero;
+  } else if (name == "random") {
+    env = core::Environment::randomized(seed);
+  } else if (name == "adversarial") {
+    env = core::Environment::adversarial_fast();
+  }
+  env.seed = seed;
+  return env;
+}
+
+/// A positional 0/1 string; std::nullopt after naming the argument.
+[[nodiscard]] std::optional<std::vector<ioa::Bit>> bits_arg(std::string_view what,
+                                                            std::string_view text) {
+  if (text.find_first_not_of("01") != std::string_view::npos) {
+    std::cerr << what << " must be a 0/1 string\n";
     return std::nullopt;
   }
+  std::vector<ioa::Bit> bits;
+  bits.reserve(text.size());
+  for (const char c : text) bits.push_back(static_cast<ioa::Bit>(c - '0'));
+  return bits;
 }
 
 /// Parses the input argument: a pure 0/1 string of length ≥ 8 is a literal
 /// bit sequence; anything else is a decimal length for a seeded random
 /// input (so "64" is 64 random bits, "01100110" is those exact 8 bits).
-/// std::nullopt when the token is neither.
+/// std::nullopt, after naming the token, when it is neither.
 std::optional<std::vector<ioa::Bit>> parse_input(const std::string& text, std::uint64_t seed) {
   if (text.find_first_not_of("01") == std::string::npos && text.size() >= 8) {
-    std::vector<ioa::Bit> bits;
-    bits.reserve(text.size());
-    for (const char c : text) bits.push_back(static_cast<ioa::Bit>(c - '0'));
-    return bits;
+    return bits_arg("input", text);
   }
-  const auto length = parse_number<std::uint32_t>(text);
+  const auto length = number_arg<std::uint32_t>("input length", text);
   if (!length.has_value()) return std::nullopt;
   return core::make_random_input(*length, seed);
 }
 
+/// Opens `stream` on `path`; false after naming a path that cannot be
+/// opened. The stream adds std::ios::in or std::ios::out to `mode` itself.
+template <typename Stream>
+[[nodiscard]] bool open_file(Stream& stream, const std::filesystem::path& path,
+                             std::ios::openmode mode = {}) {
+  stream.open(path, mode);
+  if (!stream) std::cerr << "cannot open '" << path.string() << "'\n";
+  return static_cast<bool>(stream);
+}
+
 /// Appends metric records to a JSONL file (append, so several runs can
-/// accumulate into one report input). False when the file cannot be opened.
+/// accumulate into one report input). False after naming a file that cannot
+/// be opened.
 bool append_metrics_jsonl(const std::string& path,
                           const std::vector<obs::RunMetricsRecord>& records) {
-  std::ofstream out{path, std::ios::app};
-  if (!out) return false;
+  std::ofstream out;
+  if (!open_file(out, path, std::ios::app)) return false;
   for (const obs::RunMetricsRecord& record : records) {
     obs::write_run_metrics_jsonl(out, record);
   }
@@ -260,39 +395,27 @@ bool append_metrics_jsonl(const std::string& path,
 
 int cmd_bounds(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto c1 = parse_number<std::int64_t>(argv[2]);
-  if (!c1.has_value()) return bad_number("c1", argv[2]);
-  const auto c2 = parse_number<std::int64_t>(argv[3]);
-  if (!c2.has_value()) return bad_number("c2", argv[3]);
-  const auto d = parse_number<std::int64_t>(argv[4]);
-  if (!d.has_value()) return bad_number("d", argv[4]);
-  const auto k = parse_number<std::uint32_t>(argv[5]);
-  if (!k.has_value()) return bad_number("k", argv[5]);
-  const auto params = core::TimingParams::make(*c1, *c2, *d);
-  std::cout << core::compute_bounds(params, *k) << '\n';
+  const auto params = timing_args(argv, 2);
+  if (!params.has_value()) return 2;
+  const auto k = number_arg<std::uint32_t>("k", argv[5]);
+  if (!k.has_value()) return 2;
+  std::cout << core::compute_bounds(*params, *k) << '\n';
   return 0;
 }
 
 int cmd_run(int argc, char** argv) {
   if (argc < 8) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
-  const auto c1 = parse_number<std::int64_t>(argv[3]);
-  if (!c1.has_value()) return bad_number("c1", argv[3]);
-  const auto c2 = parse_number<std::int64_t>(argv[4]);
-  if (!c2.has_value()) return bad_number("c2", argv[4]);
-  const auto d = parse_number<std::int64_t>(argv[5]);
-  if (!d.has_value()) return bad_number("d", argv[5]);
-  const auto k = parse_number<std::uint32_t>(argv[6]);
-  if (!k.has_value()) return bad_number("k", argv[6]);
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
+  const auto params = timing_args(argv, 3);
+  if (!params.has_value()) return 2;
+  const auto k = number_arg<std::uint32_t>("k", argv[6]);
+  if (!k.has_value()) return 2;
   protocols::ProtocolConfig cfg;
-  cfg.params = core::TimingParams::make(*c1, *c2, *d);
+  cfg.params = *params;
   cfg.k = *k;
 
-  core::Environment env = core::Environment::worst_case();
+  std::string_view env_name = "worst";
   std::uint64_t seed = 1;
   std::string trace_file;
   std::string trace_out_file;
@@ -300,72 +423,24 @@ int cmd_run(int argc, char** argv) {
   bool want_stats = false;
   bool want_timing = false;
   bool want_estimator = false;
-  double est_margin = 0.125;
+  std::optional<double> margin;
   core::DriftSpec drift;
-  for (int i = 8; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc && is_value_flag(arg, {"--env", "--seed", "--trace", "--trace-out",
-                                             "--metrics-out", "--drift"})) {
-      return missing_value(arg);
-    }
-    if (arg == "--env") {
-      const std::string name = argv[++i];
-      if (name == "worst") {
-        env = core::Environment::worst_case();
-      } else if (name == "fast") {
-        env.transmitter_sched = core::Environment::Sched::FastFixed;
-        env.receiver_sched = core::Environment::Sched::FastFixed;
-        env.delay = core::Environment::Delay::Zero;
-      } else if (name == "random") {
-        env = core::Environment::randomized(seed);
-      } else if (name == "adversarial") {
-        env = core::Environment::adversarial_fast();
-      } else {
-        std::cerr << "unknown environment '" << name << "'\n";
-        return 2;
-      }
-    } else if (arg == "--seed") {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--seed", argv[i]);
-      seed = *parsed;
-      env.seed = seed;
-    } else if (arg == "--trace") {
-      trace_file = argv[++i];
-    } else if (arg == "--trace-out") {
-      trace_out_file = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
-    } else if (arg == "--stats") {
-      want_stats = true;
-    } else if (arg == "--metrics-out") {
-      metrics_file = argv[++i];
-    } else if (arg == "--timing") {
-      want_timing = true;
-    } else if (arg == "--estimator") {
-      want_estimator = true;
-    } else if (arg.rfind("--estimator=", 0) == 0) {
-      const auto margin = parse_margin(arg.substr(std::string_view{"--estimator="}.size()));
-      if (!margin.has_value()) return 2;
-      want_estimator = true;
-      est_margin = *margin;
-    } else if (arg == "--drift") {
-      const auto parsed = parse_drift(argv[++i]);
-      if (!parsed.has_value()) return 2;
-      drift = *parsed;
-    } else if (arg.rfind("--drift=", 0) == 0) {
-      const auto parsed = parse_drift(arg.substr(std::string_view{"--drift="}.size()));
-      if (!parsed.has_value()) return 2;
-      drift = *parsed;
-    } else {
-      return unknown_option(arg);
-    }
+  if (!parse_flags(argc, argv, 8,
+                   {choice_flag("--env", env_name, {"worst", "fast", "random", "adversarial"}),
+                    number_flag("--seed", seed), string_flag("--trace", trace_file),
+                    string_flag("--trace-out", trace_out_file), switch_flag("--stats", want_stats),
+                    string_flag("--metrics-out", metrics_file),
+                    switch_flag("--timing", want_timing), estimator_flag(want_estimator, margin),
+                    drift_flag(drift)})) {
+    return 2;
   }
+  const core::Environment env = make_environment(env_name, seed);
   if (want_estimator && *kind != ProtocolKind::Beta && *kind != ProtocolKind::Gamma) {
     std::cerr << "--estimator supports only beta and gamma\n";
     return 2;
   }
   const auto input = parse_input(argv[7], seed);
-  if (!input.has_value()) return bad_number("input length", argv[7]);
+  if (!input.has_value()) return 2;
   cfg.input = *input;
   if (*kind == ProtocolKind::Indexed) {
     cfg.k = std::max<std::uint32_t>(cfg.k,
@@ -391,7 +466,7 @@ int cmd_run(int argc, char** argv) {
   // run_estimated with no drift and the estimator off is exactly
   // core::run_protocol (same seed stream), so one call covers all modes.
   est::EstimatorConfig est_cfg;
-  est_cfg.margin = est_margin;
+  if (margin.has_value()) est_cfg.margin = *margin;
   const est::EstimatedRun est_run =
       est::run_estimated(*kind, cfg, env, drift, want_estimator, est_cfg,
                          /*record_trace=*/true, 50'000'000,
@@ -408,7 +483,7 @@ int cmd_run(int argc, char** argv) {
     std::cout << "drift:      " << drift << "\n";
   }
   if (want_estimator) {
-    std::cout << "estimator:  margin " << est_margin << ", (c1,c2,d) = ("
+    std::cout << "estimator:  margin " << est_cfg.margin << ", (c1,c2,d) = ("
               << est_run.gauges.c1_hat << ", " << est_run.gauges.c2_hat << ", "
               << est_run.gauges.d_hat << "), " << est_run.gauges.gap_samples << " gap / "
               << est_run.gauges.delay_samples << " delay samples, " << est_run.gauges.resizes
@@ -448,28 +523,19 @@ int cmd_run(int argc, char** argv) {
     record.quiescent = run.result.quiescent;
     record.metrics = run.result.metrics;
     record.est = est_run.gauges;
-    if (!append_metrics_jsonl(metrics_file, {record})) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, {record})) return 1;
     std::cout << "metrics:    appended to " << metrics_file << "\n";
   }
   if (!trace_file.empty()) {
-    std::ofstream out{trace_file};
-    if (!out) {
-      std::cerr << "cannot open '" << trace_file << "'\n";
-      return 1;
-    }
+    std::ofstream out;
+    if (!open_file(out, trace_file)) return 1;
     ioa::write_trace(out, run.result.trace);
     std::cout << "trace:      written to " << trace_file << " (" << run.result.trace.size()
               << " events)\n";
   }
   if (tracer.has_value()) {
-    std::ofstream out{trace_out_file};
-    if (!out) {
-      std::cerr << "cannot open '" << trace_out_file << "'\n";
-      return 1;
-    }
+    std::ofstream out;
+    if (!open_file(out, trace_out_file)) return 1;
     tracer->write_chrome_json(out);
     const obs::trace::Summary summary = obs::trace::summarize(*tracer);
     std::cout << "trace-out:  written to " << trace_out_file << " (" << summary.model_spans
@@ -483,53 +549,32 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_verify(int argc, char** argv) {
   if (argc != 7) return usage();
-  const auto c1 = parse_number<std::int64_t>(argv[2]);
-  if (!c1.has_value()) return bad_number("c1", argv[2]);
-  const auto c2 = parse_number<std::int64_t>(argv[3]);
-  if (!c2.has_value()) return bad_number("c2", argv[3]);
-  const auto d = parse_number<std::int64_t>(argv[4]);
-  if (!d.has_value()) return bad_number("d", argv[4]);
-  const auto params = core::TimingParams::make(*c1, *c2, *d);
-  std::ifstream in{argv[5]};
-  if (!in) {
-    std::cerr << "cannot open '" << argv[5] << "'\n";
-    return 1;
-  }
+  const auto params = timing_args(argv, 2);
+  if (!params.has_value()) return 2;
+  std::ifstream in;
+  if (!open_file(in, argv[5])) return 1;
   const ioa::TimedTrace trace = ioa::parse_trace(in);
-  std::vector<ioa::Bit> expected;
-  for (const char c : std::string{argv[6]}) {
-    if (c != '0' && c != '1') {
-      std::cerr << "expected-output must be a 0/1 string\n";
-      return 2;
-    }
-    expected.push_back(static_cast<ioa::Bit>(c - '0'));
-  }
-  const core::VerifyResult verdict = core::verify_trace(trace, params, expected);
+  const auto expected = bits_arg("expected-output", argv[6]);
+  if (!expected.has_value()) return 2;
+  const core::VerifyResult verdict = core::verify_trace(trace, *params, *expected);
   std::cout << verdict << '\n';
   return verdict.ok() ? 0 : 1;
 }
 
 int cmd_explore(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
-  const auto d = parse_number<std::int64_t>(argv[3]);
-  if (!d.has_value()) return bad_number("d", argv[3]);
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
+  const auto d = number_arg<std::int64_t>("d", argv[3]);
+  if (!d.has_value()) return 2;
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 1, *d);
-  const auto k = parse_number<std::uint32_t>(argv[4]);
-  if (!k.has_value()) return bad_number("k", argv[4]);
+  const auto k = number_arg<std::uint32_t>("k", argv[4]);
+  if (!k.has_value()) return 2;
   cfg.k = *k;
-  for (const char c : std::string{argv[5]}) {
-    if (c != '0' && c != '1') {
-      std::cerr << "input must be a 0/1 string\n";
-      return 2;
-    }
-    cfg.input.push_back(static_cast<ioa::Bit>(c - '0'));
-  }
+  const auto bits = bits_arg("input", argv[5]);
+  if (!bits.has_value()) return 2;
+  cfg.input = *bits;
   if (*kind == ProtocolKind::Indexed) {
     cfg.k = std::max<std::uint32_t>(
         cfg.k, static_cast<std::uint32_t>(2 * std::max<std::size_t>(1, cfg.input.size())));
@@ -626,40 +671,14 @@ int cmd_campaign(int argc, char** argv) {
   bool want_dashboard = false;
   bool want_estimator = false;
   std::optional<double> margin_override;
-  std::optional<core::DriftSpec> drift_override;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc && is_value_flag(arg, {"--metrics-out", "--threads", "--drift"})) {
-      return missing_value(arg);
-    }
-    if (arg == "--metrics-out") {
-      metrics_file = argv[++i];
-    } else if (arg == "--threads") {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads = *parsed;
-    } else if (arg == "--dashboard") {
-      want_dashboard = true;
-    } else if (arg == "--no-dashboard") {
-      want_dashboard = false;
-    } else if (arg == "--estimator") {
-      want_estimator = true;
-    } else if (arg.rfind("--estimator=", 0) == 0) {
-      const auto margin = parse_margin(arg.substr(std::string_view{"--estimator="}.size()));
-      if (!margin.has_value()) return 2;
-      want_estimator = true;
-      margin_override = *margin;
-    } else if (arg == "--drift") {
-      const auto parsed = parse_drift(argv[++i]);
-      if (!parsed.has_value()) return 2;
-      drift_override = *parsed;
-    } else if (arg.rfind("--drift=", 0) == 0) {
-      const auto parsed = parse_drift(arg.substr(std::string_view{"--drift="}.size()));
-      if (!parsed.has_value()) return 2;
-      drift_override = *parsed;
-    } else {
-      return unknown_option(arg);
-    }
+  core::DriftSpec drift;
+  if (!parse_flags(argc, argv, 2,
+                   {string_flag("--metrics-out", metrics_file),
+                    number_flag("--threads", threads, 0, kMaxThreads),
+                    switch_flag("--dashboard", want_dashboard),
+                    switch_flag("--no-dashboard", want_dashboard, false),
+                    estimator_flag(want_estimator, margin_override), drift_flag(drift)})) {
+    return 2;
   }
   // Bare --estimator runs the pinned estimator grid (margin 0, its own drift
   // axis — the checked-in estimator_baseline.jsonl); overrides are for
@@ -667,7 +686,7 @@ int cmd_campaign(int argc, char** argv) {
   sim::CampaignSpec spec =
       want_estimator ? est::golden_estimator_spec() : sim::golden_campaign_spec();
   if (margin_override.has_value()) spec.estimator.margin = *margin_override;
-  if (drift_override.has_value()) spec.drifts = {*drift_override};
+  if (!drift.empty()) spec.drifts = {drift};
   const sim::Campaign campaign{spec};
   const ProgressStyle style = resolve_progress_style(want_dashboard);
   sim::CampaignProgress progress;
@@ -694,9 +713,8 @@ int cmd_campaign(int argc, char** argv) {
               << " incorrect, mean effort " << result.effort.mean << " ticks/bit\n";
   }
   if (!metrics_file.empty()) {
-    if (!append_metrics_jsonl(metrics_file, sim::campaign_metrics_records(result,
-                                                                          spec.input_bits))) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
+    if (!append_metrics_jsonl(metrics_file,
+                              sim::campaign_metrics_records(result, spec.input_bits))) {
       return 1;
     }
     std::cout << "metrics:     appended " << result.jobs.size() << " jobs to " << metrics_file
@@ -713,53 +731,21 @@ int cmd_mega(int argc, char** argv) {
   sim::MultiSessionSpec spec = sim::golden_megasession_spec();
   unsigned threads = 1;
   std::string metrics_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc &&
-        is_value_flag(arg, {"--sessions", "--shards", "--threads", "--protocol", "--k",
-                            "--bits", "--seed", "--max-events", "--metrics-out"})) {
-      return missing_value(arg);
-    }
-    if (arg == "--sessions") {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--sessions", argv[i]);
-      spec.sessions = *parsed;
-    } else if (arg == "--shards") {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--shards", argv[i]);
-      spec.shards = *parsed;
-    } else if (arg == "--threads") {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads = *parsed;
-    } else if (arg == "--protocol") {
-      const auto kind = protocols::protocol_from_string(argv[++i]);
-      if (!kind.has_value()) {
-        std::cerr << "unknown protocol '" << argv[i] << "'\n";
-        return 2;
-      }
-      spec.protocol = *kind;
-    } else if (arg == "--k") {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--k", argv[i]);
-      spec.k = *parsed;
-    } else if (arg == "--bits") {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--bits", argv[i]);
-      spec.input_bits = *parsed;
-    } else if (arg == "--seed") {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--seed", argv[i]);
-      spec.base_seed = *parsed;
-    } else if (arg == "--max-events") {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--max-events", argv[i]);
-      spec.max_events_per_session = *parsed;
-    } else if (arg == "--metrics-out") {
-      metrics_file = argv[++i];
-    } else {
-      return unknown_option(arg);
-    }
+  const Flag protocol{"--protocol", Flag::Takes::Value, [&spec](auto value) {
+                        const auto kind = protocol_arg(*value);
+                        if (kind.has_value()) spec.protocol = *kind;
+                        return kind.has_value();
+                      }};
+  if (!parse_flags(
+          argc, argv, 2,
+          {number_flag("--sessions", spec.sessions, 1), number_flag("--shards", spec.shards, 1),
+           number_flag("--threads", threads, 0, kMaxThreads), protocol,
+           number_flag("--k", spec.k),
+           number_flag("--bits", spec.input_bits, 0, std::numeric_limits<std::uint32_t>::max()),
+           number_flag("--seed", spec.base_seed),
+           number_flag("--max-events", spec.max_events_per_session, 1),
+           string_flag("--metrics-out", metrics_file)})) {
+    return 2;
   }
   const sim::MultiSession mega{spec};
   const sim::MultiSessionResult result = mega.run(threads);
@@ -772,7 +758,6 @@ int cmd_mega(int argc, char** argv) {
             << result.sessions - result.quiescent_sessions << " non-quiescent\n";
   if (!metrics_file.empty()) {
     if (!append_metrics_jsonl(metrics_file, {sim::multi_session_metrics_record(spec, result)})) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
       return 1;
     }
     std::cout << "metrics: appended 1 fold record to " << metrics_file << "\n";
@@ -795,11 +780,8 @@ int cmd_report_diff(const std::string& old_path, const std::string& new_path, bo
   }
   const auto read_series = [](const std::string& path,
                               std::vector<obs::RunMetricsRecord>& out) {
-    std::ifstream in{path};
-    if (!in) {
-      std::cerr << "cannot open '" << path << "'\n";
-      return 1;
-    }
+    std::ifstream in;
+    if (!open_file(in, path)) return 1;
     try {
       out = obs::read_run_metrics_jsonl(in);
     } catch (const obs::JsonParseError& e) {
@@ -847,18 +829,10 @@ int cmd_report(int argc, char** argv) {
   std::vector<std::string> files;
   bool want_json = false;
   std::string fail_on;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fail-on" && i + 1 >= argc) return missing_value(arg);
-    if (arg == "--json") {
-      want_json = true;
-    } else if (arg == "--fail-on") {
-      fail_on = argv[++i];
-    } else if (!arg.empty() && arg.front() == '-') {
-      return unknown_option(arg);
-    } else {
-      files.push_back(arg);
-    }
+  if (!parse_flags(argc, argv, 2,
+                   {switch_flag("--json", want_json), string_flag("--fail-on", fail_on)},
+                   &files)) {
+    return 2;
   }
   if (files.size() == 2) {
     return cmd_report_diff(files[0], files[1], want_json, fail_on);
@@ -866,11 +840,8 @@ int cmd_report(int argc, char** argv) {
   // The single-file form keeps its original contract: render the table,
   // exit 1 on unreadable or malformed input (via main's catch-all).
   if (files.size() != 1 || want_json || !fail_on.empty()) return usage();
-  std::ifstream in{files[0]};
-  if (!in) {
-    std::cerr << "cannot open '" << files[0] << "'\n";
-    return 1;
-  }
+  std::ifstream in;
+  if (!open_file(in, files[0])) return 1;
   const std::vector<obs::RunMetricsRecord> records = obs::read_run_metrics_jsonl(in);
   obs::print_metrics_table(std::cout, records);
   return 0;
@@ -898,68 +869,30 @@ int cmd_report(int argc, char** argv) {
 
 int cmd_fuzz(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
   sim::FuzzSpec spec;
   spec.protocol = *kind;
   std::string corpus_dir;
   std::string repro_file;
   std::string metrics_file;
   bool want_dashboard = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc &&
-        is_value_flag(arg, {"--seed", "--budget", "--jobs", "--k", "--bits", "--max-events",
-                            "--time-budget-ms", "--wait-override", "--block-override",
-                            "--corpus", "--repro-out", "--metrics-out"})) {
-      return missing_value(arg);
-    }
-    const auto take_number = [&](auto& slot) {
-      const auto parsed =
-          parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
-      if (!parsed.has_value()) return false;
-      slot = *parsed;
-      return true;
-    };
-    if (arg == "--seed") {
-      if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
-    } else if (arg == "--budget") {
-      if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
-      if (spec.budget == 0) return bad_budget(argv[i]);
-    } else if (arg == "--jobs") {
-      if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
-    } else if (arg == "--k") {
-      if (!take_number(spec.k)) return bad_number("--k", argv[i]);
-    } else if (arg == "--bits") {
-      if (!take_number(spec.max_input_bits)) return bad_number("--bits", argv[i]);
-    } else if (arg == "--max-events") {
-      if (!take_number(spec.max_events)) return bad_number("--max-events", argv[i]);
-    } else if (arg == "--time-budget-ms") {
-      if (!take_number(spec.time_budget_ms)) return bad_number("--time-budget-ms", argv[i]);
-    } else if (arg == "--wait-override") {
-      if (!take_number(spec.wait_override)) return bad_number("--wait-override", argv[i]);
-    } else if (arg == "--block-override") {
-      if (!take_number(spec.block_override)) return bad_number("--block-override", argv[i]);
-    } else if (arg == "--faults") {
-      spec.faults_enabled = true;
-    } else if (arg == "--keep-going") {
-      spec.stop_on_failure = false;
-    } else if (arg == "--dashboard") {
-      want_dashboard = true;
-    } else if (arg == "--no-dashboard") {
-      want_dashboard = false;
-    } else if (arg == "--corpus") {
-      corpus_dir = argv[++i];
-    } else if (arg == "--repro-out") {
-      repro_file = argv[++i];
-    } else if (arg == "--metrics-out") {
-      metrics_file = argv[++i];
-    } else {
-      return unknown_option(arg);
-    }
+  if (!parse_flags(
+          argc, argv, 3,
+          {number_flag("--seed", spec.seed), number_flag("--budget", spec.budget, 1),
+           number_flag("--jobs", spec.jobs, 0, kMaxThreads), number_flag("--k", spec.k),
+           number_flag("--bits", spec.max_input_bits),
+           number_flag("--max-events", spec.max_events, 1),
+           number_flag("--time-budget-ms", spec.time_budget_ms),
+           number_flag("--wait-override", spec.wait_override),
+           number_flag("--block-override", spec.block_override),
+           switch_flag("--faults", spec.faults_enabled),
+           switch_flag("--keep-going", spec.stop_on_failure, false),
+           switch_flag("--dashboard", want_dashboard),
+           switch_flag("--no-dashboard", want_dashboard, false),
+           string_flag("--corpus", corpus_dir), string_flag("--repro-out", repro_file),
+           string_flag("--metrics-out", metrics_file)})) {
+    return 2;
   }
 
   if (!corpus_dir.empty()) {
@@ -974,11 +907,8 @@ int cmd_fuzz(int argc, char** argv) {
     }
     std::sort(paths.begin(), paths.end());
     for (const std::filesystem::path& path : paths) {
-      std::ifstream in{path};
-      if (!in) {
-        std::cerr << "cannot open '" << path.string() << "'\n";
-        return 2;
-      }
+      std::ifstream in;
+      if (!open_file(in, path)) return 2;
       sim::FuzzCase seed_case = sim::parse_fuzz_case(in);
       seed_case.protocol = spec.protocol;  // the corpus seeds schedules, not protocols
       spec.corpus_seeds.push_back(seed_case);
@@ -1014,10 +944,7 @@ int cmd_fuzz(int argc, char** argv) {
     for (std::size_t i = 0; i < result.corpus.size(); ++i) {
       records.push_back(fuzz_metrics_record(result.corpus[i], result.corpus_results[i]));
     }
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, records)) return 1;
     std::cout << "metrics:       appended " << records.size() << " rows to " << metrics_file
               << "\n";
   }
@@ -1028,11 +955,8 @@ int cmd_fuzz(int argc, char** argv) {
   }
   const sim::FuzzFailure& first = result.failures.front();
   if (!repro_file.empty()) {
-    std::ofstream out{repro_file};
-    if (!out) {
-      std::cerr << "cannot open '" << repro_file << "'\n";
-      return 1;
-    }
+    std::ofstream out;
+    if (!open_file(out, repro_file)) return 1;
     sim::write_fuzz_repro(out, first.minimized, first.result);
     std::cout << "repro:         written to " << repro_file << " (rstp replay " << repro_file
               << ")\n";
@@ -1045,49 +969,19 @@ int cmd_fuzz(int argc, char** argv) {
 
 int cmd_adversary(int argc, char** argv) {
   sim::AdversarySpec spec;
-  spec.grid = sim::golden_adversary_grid();
+  std::string_view grid = "golden";
   std::string repro_file;
   std::string metrics_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc && is_value_flag(arg, {"--seed", "--budget", "--jobs", "--max-events",
-                                             "--grid", "--repro-out", "--metrics-out"})) {
-      return missing_value(arg);
-    }
-    const auto take_number = [&](auto& slot) {
-      const auto parsed =
-          parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
-      if (!parsed.has_value()) return false;
-      slot = *parsed;
-      return true;
-    };
-    if (arg == "--seed") {
-      if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
-    } else if (arg == "--budget") {
-      if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
-      if (spec.budget == 0) return bad_budget(argv[i]);
-    } else if (arg == "--jobs") {
-      if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
-    } else if (arg == "--max-events") {
-      if (!take_number(spec.max_events)) return bad_number("--max-events", argv[i]);
-    } else if (arg == "--grid") {
-      const std::string grid = argv[++i];
-      if (grid == "golden") {
-        spec.grid = sim::golden_adversary_grid();
-      } else if (grid == "quick") {
-        spec.grid = sim::quick_adversary_grid();
-      } else {
-        std::cerr << "unknown grid '" << grid << "' (want golden or quick)\n";
-        return 2;
-      }
-    } else if (arg == "--repro-out") {
-      repro_file = argv[++i];
-    } else if (arg == "--metrics-out") {
-      metrics_file = argv[++i];
-    } else {
-      return unknown_option(arg);
-    }
+  if (!parse_flags(argc, argv, 2,
+                   {number_flag("--seed", spec.seed), number_flag("--budget", spec.budget, 1),
+                    number_flag("--jobs", spec.jobs, 0, kMaxThreads),
+                    number_flag("--max-events", spec.max_events, 1),
+                    choice_flag("--grid", grid, {"golden", "quick"}),
+                    string_flag("--repro-out", repro_file),
+                    string_flag("--metrics-out", metrics_file)})) {
+    return 2;
   }
+  spec.grid = grid == "quick" ? sim::quick_adversary_grid() : sim::golden_adversary_grid();
 
   spec.on_cell = [](const sim::AdversaryProgress& progress) {
     std::cerr << "adversary: cell " << (progress.cell_index + 1) << "/" << progress.cell_count
@@ -1115,10 +1009,7 @@ int cmd_adversary(int argc, char** argv) {
   if (!metrics_file.empty()) {
     const std::vector<obs::RunMetricsRecord> records =
         sim::adversary_metrics_records(result, spec.seed);
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, records)) return 1;
     std::cout << "metrics:   appended " << records.size() << " rows to " << metrics_file
               << "\n";
   }
@@ -1128,11 +1019,8 @@ int cmd_adversary(int argc, char** argv) {
     const auto widest = std::max_element(
         result.cells.begin(), result.cells.end(),
         [](const auto& a, const auto& b) { return a.gap_ratio < b.gap_ratio; });
-    std::ofstream out{repro_file};
-    if (!out) {
-      std::cerr << "cannot open '" << repro_file << "'\n";
-      return 1;
-    }
+    std::ofstream out;
+    if (!open_file(out, repro_file)) return 1;
     sim::write_adversary_repro(out, sim::make_adversary_repro(*widest, spec.max_events));
     std::cout << "repro:     written to " << repro_file << " (rstp replay " << repro_file
               << ")\n";
@@ -1143,6 +1031,16 @@ int cmd_adversary(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+/// Prints a replay's last line: exit 0 iff every recorded field reproduced.
+int report_reproduced(bool reproduced, const std::string& mismatch) {
+  if (reproduced) {
+    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
+    return 0;
+  }
+  std::cout << "reproduced: NO — " << mismatch << "\n";
+  return 1;
 }
 
 /// Replays an rstp-adversary-v1 artifact (cmd_replay dispatches here after
@@ -1157,12 +1055,7 @@ int replay_adversary_file(std::ifstream& in) {
             << " (last_send " << outcome.eval.last_send << ", "
             << (outcome.eval.correct ? "correct" : "INCORRECT") << ", "
             << (outcome.eval.quiescent ? "quiescent" : "event-capped") << ")\n";
-  if (outcome.reproduced) {
-    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
-    return 0;
-  }
-  std::cout << "reproduced: NO — " << outcome.mismatch << "\n";
-  return 1;
+  return report_reproduced(outcome.reproduced, outcome.mismatch);
 }
 
 /// First non-blank, non-comment line of a file (empty if none) — used to
@@ -1184,26 +1077,16 @@ int replay_adversary_file(std::ifstream& in) {
 int cmd_replay(int argc, char** argv) {
   if (argc < 3) return usage();
   std::string trace_out_file;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 >= argc) return missing_value(arg);
-    if (arg == "--trace-out") {
-      trace_out_file = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
-    } else if (arg == "--estimator" || arg.rfind("--estimator=", 0) == 0) {
-      std::cerr << "--estimator is not supported for replay: artifacts pin the recorded"
-                   " constants\n";
-      return 2;
-    } else {
-      return unknown_option(arg);
-    }
+  const Flag estimator{"--estimator", Flag::Takes::OptionalValue, [](auto) {
+                         std::cerr << "--estimator is not supported for replay: artifacts pin"
+                                      " the recorded constants\n";
+                         return false;
+                       }};
+  if (!parse_flags(argc, argv, 3, {string_flag("--trace-out", trace_out_file), estimator})) {
+    return 2;
   }
-  std::ifstream in{argv[2]};
-  if (!in) {
-    std::cerr << "cannot open '" << argv[2] << "'\n";
-    return 1;
-  }
+  std::ifstream in;
+  if (!open_file(in, argv[2])) return 1;
   if (sniff_header_line(argv[2]) == sim::adversary_repro_header()) {
     if (!trace_out_file.empty()) {
       std::cerr << "--trace-out is not supported for adversary artifacts\n";
@@ -1221,11 +1104,8 @@ int cmd_replay(int argc, char** argv) {
   const sim::ReplayOutcome outcome =
       sim::replay_fuzz_repro(repro, recorder.has_value() ? &*recorder : nullptr);
   if (tracer.has_value()) {
-    std::ofstream trace_out{trace_out_file};
-    if (!trace_out) {
-      std::cerr << "cannot open '" << trace_out_file << "'\n";
-      return 1;
-    }
+    std::ofstream trace_out;
+    if (!open_file(trace_out, trace_out_file)) return 1;
     tracer->write_chrome_json(trace_out);
     const obs::trace::Summary summary = obs::trace::summarize(*tracer);
     std::cout << "trace-out:  written to " << trace_out_file << " (" << summary.model_spans
@@ -1241,12 +1121,7 @@ int cmd_replay(int argc, char** argv) {
   if (!outcome.result.failure.empty()) {
     std::cout << "detail:     " << outcome.result.failure << "\n";
   }
-  if (outcome.reproduced) {
-    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
-    return 0;
-  }
-  std::cout << "reproduced: NO — " << outcome.mismatch << "\n";
-  return 1;
+  return report_reproduced(outcome.reproduced, outcome.mismatch);
 }
 
 }  // namespace
